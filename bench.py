@@ -274,16 +274,11 @@ def bench_crawl(num_cpus: int) -> dict:
         burst=2,
         link_universe=60_000,
         max_links=3,
-        # A/B knobs for the epoch-pipelining depth (VERDICT r4 next #3):
-        # depth 2 requires link_latency_epochs ≥ 3 (run_crawl clamps)
-        overlap_depth=int(os.environ.get("GRAFT_BENCH_OVERLAP", "1")),
-        link_latency_epochs=int(os.environ.get("GRAFT_BENCH_LINKLAT", "2")),
         shard_capacity=1 << 19,
         fetch_concurrency=concurrency,
         fetch_num_cpus=1,
         shard_num_cpus=shard_cpus,
         fetch_batch_size=4096,
-        convert_inline=True,  # fetch → convert → write in one pipeline
         detailed_logs=False,  # bench: workers skip per-row log columns
     )
     pages_dir = tempfile.mkdtemp(prefix="gotenberg_ray_bench_")

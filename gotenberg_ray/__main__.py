@@ -86,7 +86,6 @@ def cmd_crawl(args) -> int:
         n_partitions=args.partitions,
         max_fetches=args.fetches,
         seed=args.seed,
-        convert_inline=True,
     )
     res = run_crawl(frontier, docs, robots, cfg, mode="ray", pages_dir=args.pages_dir)
     print(

@@ -5,7 +5,7 @@ north rule, expressed as parquet since lance isn't in this container —
 the writer below is the single place to swap the format):
 
     ckpt_dir/epoch=000123/
-        shard_0007.parquet   # one row: binary cuckoo/bloom + IPC-
+        shard_0007.parquet   # one row: binary cuckoo table + IPC-
                              # serialized heap/buckets/payload tables
         driver.json          # epoch counter, seq cursors, config hash
         _COMPLETE            # marker written LAST → snapshot is valid
@@ -41,7 +41,6 @@ def shard_state_to_table(state: dict) -> pa.Table:
         {
             "partition_id": pa.array([state["partition_id"]], pa.int32()),
             "cuckoo": pa.array([state["cuckoo"]], pa.binary()),
-            "bloom": pa.array([state["bloom"]], pa.binary()),
             "heap": pa.array([_ipc_bytes(state["heap"])], pa.binary()),
             "buckets": pa.array([_ipc_bytes(state["buckets"])], pa.binary()),
             "payloads": pa.array([_ipc_bytes(state["payloads"])], pa.binary()),
@@ -56,7 +55,6 @@ def table_to_shard_state(table: pa.Table) -> dict:
     return {
         "partition_id": row["partition_id"],
         "cuckoo": row["cuckoo"],
-        "bloom": row["bloom"],
         "heap": _ipc_table(row["heap"]),
         "buckets": _ipc_table(row["buckets"]),
         "payloads": _ipc_table(row["payloads"]),

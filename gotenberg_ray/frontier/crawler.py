@@ -6,7 +6,7 @@ The same loop runs in two orchestrations:
   objects driven sequentially in one process. This is the ground truth
   the north rule's determinism criterion compares against.
 - ``mode="ray"`` — shards wrapped in Ray actors, the fetch/render
-  stage as a Ray Data ``map_batches`` actor pool over Arrow batches.
+  stage as stateless Ray tasks over Arrow grant chunks.
 
 Shared contract (bit-identical by construction, SURVEY §7.5):
 - virtual time in integer ticks; epoch k covers [kW, (k+1)W).
@@ -181,33 +181,14 @@ class CrawlConfig:
     fetch_concurrency: int = 4
     fetch_num_cpus: float = 1.0
     # logical reservation only — shards are idle during the fetch phase,
-    # so they must never block fetch actors from scheduling
+    # so they must never block fetch tasks from scheduling
     shard_num_cpus: float = 0.01
-    # "tasks": stateless fetch tasks, dynamically balanced by the Ray
-    # scheduler (fetch state is arrow/plasma — reconstruction per worker
-    # is cheap and cached). "actors": persistent pool with static
-    # round-robin assignment.
-    fetch_mode: str = "tasks"
-    convert_inline: bool = True  # run the conversion chain in the fetch workers
     # epochs between a link's DISCOVERY epoch and its earliest grant
     # epoch. 2 (default) decouples the shard step from the fetch barrier:
     # epoch k+1's offer+pop round trip only needs epoch k-1's links, so
     # it runs CONCURRENTLY with epoch k's fetch (the classic crawl
     # frontier-refresh pipeline). 1 = fully synchronous scheduling.
     link_latency_epochs: int = 2
-    # Ray-mode fetch pipeline depth: how many dispatched epochs may be
-    # awaiting collection at once. 1 (default, the historical behavior)
-    # overlaps one epoch's straggler tail under the next epoch; 2 also
-    # hides the near-empty politeness-starved epochs under their big
-    # neighbors. Correctness constraint: the pipelined shard step for
-    # epoch k+1 may only be issued once every link generation due by
-    # its horizon has been folded, which requires link_latency_epochs
-    # ≥ overlap_depth + 1 — run_crawl clamps the effective depth to
-    # that bound. Pure execution detail: the fetch ordering / seen-set
-    # are unchanged for a given (config, seed) because folds still
-    # happen in epoch order on the driver (pinned vs the sequential
-    # reference by tests/test_crawl.py).
-    overlap_depth: int = 1
     # False → workers return only a row-count log (seq column); the
     # driver skips per-epoch log sorting entirely (bench mode)
     detailed_logs: bool = True
@@ -648,13 +629,6 @@ class RayShards:
         ]
         self._ray.get(refs)
 
-    def pop_epoch_refs(self, horizon: int) -> list[tuple]:
-        """[(grant_table_ref, key_table)] per shard — grant payloads
-        stay in the object store; the driver sees only the keys."""
-        return self._ray.get(
-            [a.pop_epoch_ref.remote(horizon) for a in self.actors]
-        )
-
     def step(
         self, specs: dict[int, list[tuple]], ready_time: int, horizon: int
     ) -> list[tuple]:
@@ -674,9 +648,6 @@ class RayShards:
 
     def collect(self, refs: list) -> list[tuple]:
         return self._ray.get(refs)
-
-    def pop_epoch(self, horizon: int) -> list[pa.Table]:
-        return self._ray.get([a.pop_epoch.remote(horizon) for a in self.actors])
 
     def min_ready(self) -> int | None:
         vals = [v for v in self._ray.get([a.min_ready.remote() for a in self.actors]) if v is not None]
@@ -736,19 +707,11 @@ def _extract_links(result: pa.Table) -> pa.Table:
 
 
 def _convert_and_write(
-    result: pa.Table, epoch: int, chunk: int, pages_dir: str | None, inline: bool
+    result: pa.Table, epoch: int, chunk: int, pages_dir: str | None
 ) -> int:
     """Apply the conversion chain (SURVEY §3.1 stub order) to the fetch
     output and write the part rows to the per-epoch parquet sink.
     Returns the number of output spans."""
-    if not inline:
-        if pages_dir:
-            d = f"{pages_dir}/epoch={epoch:06d}"
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(
-                result.drop_columns(["links"]), f"{d}/part-{chunk:04d}.parquet"
-            )
-        return 0
     converted = convert_batch(result)
     if pages_dir:
         d = f"{pages_dir}/epoch={epoch:06d}"
@@ -775,9 +738,7 @@ class LocalFetchRunner:
 
     def __call__(self, grants: pa.Table, epoch: int):
         result = self.fetcher(grants)
-        self.spans_total += _convert_and_write(
-            result, epoch, 0, self.pages_dir, self.cfg.convert_inline
-        )
+        self.spans_total += _convert_and_write(result, epoch, 0, self.pages_dir)
         accepted, rejected = admit_links(
             _extract_links(result),
             self.url_filter,
@@ -793,16 +754,16 @@ class LocalFetchRunner:
 
 
 class _FetchWorker(SimulatedFetcher):
-    """Actor wrapper: fetches a chunk, writes its page rows straight to
-    the partitioned parquet sink, admits discovered links in-worker
-    (canonicalize + filter + IP policy — the driver never touches raw
-    link URLs), and returns only the small log/candidate columns."""
+    """Per-worker fetch state: fetches a chunk, writes its page rows
+    straight to the partitioned parquet sink, admits discovered links
+    in-worker (canonicalize + filter + IP policy — the driver never
+    touches raw link URLs), and returns only the small log/candidate
+    columns."""
 
-    def __init__(self, *args, allow=(), deny=(), convert_inline=True, n_partitions=0,
+    def __init__(self, *args, allow=(), deny=(), n_partitions=0,
                  detailed_logs=True, salt_hosts=(), salt_k=1, **kwargs):
         super().__init__(*args, **kwargs)
         self.url_filter = UrlFilter(list(allow), list(deny))
-        self.convert_inline = convert_inline
         self.n_partitions = n_partitions
         self.log_cols = _LOG_COLS if detailed_logs else ["seq"]
         self.salt_hosts = tuple(salt_hosts)
@@ -815,9 +776,7 @@ class _FetchWorker(SimulatedFetcher):
 
         _w0 = _t.time()
         result = self(batch)
-        n_spans = _convert_and_write(
-            result, epoch, chunk, pages_dir, self.convert_inline
-        )
+        n_spans = _convert_and_write(result, epoch, chunk, pages_dir)
         accepted, rejected = admit_links(
             _extract_links(result),
             self.url_filter,
@@ -835,15 +794,6 @@ class _FetchWorker(SimulatedFetcher):
         keys = accepted.select(["parent_seq", "link_index", "partition"])
         busy = _t.time() - _w0
         return result.select(self.log_cols), keys, payload_ref, rejected, n_spans, busy
-
-    def fetch_chunk(
-        self, grants: pa.Table, off: int, ln: int, epoch: int, chunk: int,
-        pages_dir: str | None,
-    ) -> tuple:
-        """Entry point for by-ref dispatch: the driver passes the shard's
-        grant-table ObjectRef (auto-resolved by Ray, plasma-local) plus a
-        row range; the slice is zero-copy."""
-        return self.fetch(grants.slice(off, ln), epoch, chunk, pages_dir)
 
 
 # per-worker-process cache: fetch state reconstructed once per worker,
@@ -870,17 +820,17 @@ def _fetch_task(state_box, grants: pa.Table, off: int, ln: int, epoch: int,
 
 
 class RayFetchRunner:
-    """Fetch stage as a PERSISTENT actor pool.
+    """Fetch stage as stateless Ray tasks, fed one epoch's grants at a time.
 
     A fresh ``map_batches`` execution per epoch would rebuild its actor
-    pool every epoch (seconds of startup each) — the supervisor
-    semantics here are a long-lived pool like the reference's browser
-    processes (SURVEY §2.3), fed one epoch's grant table at a time.
-    The documents table is broadcast ONCE via ray.put and resolved in
-    each actor's __init__, never per batch. Chunk assignment is
-    deterministic (round-robin over a deterministic split), and results
-    are re-sorted by the schedule-time key downstream, so orchestration
-    order never leaks into outputs.
+    pool every epoch (seconds of startup each). Instead each epoch's
+    chunks are ``_fetch_task`` calls that the Ray scheduler balances
+    dynamically over free CPUs, so host-speed jitter and uneven epochs
+    self-balance. The documents table is broadcast ONCE via ray.put and
+    rebuilt once per worker process (``_FETCH_STATE_CACHE``), never per
+    batch. Chunking is deterministic, and results are re-sorted by the
+    schedule-time key downstream, so orchestration order never leaks
+    into outputs.
     """
 
     def __init__(self, docs: pa.Table, cfg: CrawlConfig, pages_dir: str | None = None):
@@ -897,68 +847,43 @@ class RayFetchRunner:
             max_links=cfg.max_links,
             allow=tuple(cfg.allow),
             deny=tuple(cfg.deny),
-            convert_inline=cfg.convert_inline,
             n_partitions=cfg.n_partitions,
             detailed_logs=cfg.detailed_logs,
             salt_hosts=tuple(cfg.salt_hosts),
             salt_k=cfg.salt_k,
         )
-        if cfg.fetch_mode == "tasks":
-            self.actors = None
-            self._task = ray.remote(num_cpus=cfg.fetch_num_cpus)(_fetch_task)
-        else:
-            actor_cls = ray.remote(num_cpus=cfg.fetch_num_cpus)(_FetchWorker)
-            self.actors = [
-                actor_cls.remote(docs=self.state_ref, **self.params)
-                for _ in range(cfg.fetch_concurrency)
-            ]
-
-    def __call__(self, popped: list[tuple], epoch: int):
-        return self.collect(self.dispatch(popped, epoch))
+        self._task = ray.remote(num_cpus=cfg.fetch_num_cpus)(_fetch_task)
 
     def dispatch(self, popped: list[tuple], epoch: int) -> list:
-        """``popped`` = [(grant_table_ref, key_table)] from
-        pop_epoch_refs. Chunks are (ref, offset, length) triples — the
-        driver never serializes grant rows; workers resolve the ref
-        plasma-locally and slice zero-copy. Returns task refs; the
-        caller overlaps other work before ``collect``."""
+        """``popped`` = [(grant_table_ref, key_table)] per shard, as
+        ``RayShards.step``/``collect`` return them. Chunks are (ref,
+        offset, length) triples — the driver never serializes grant
+        rows; workers resolve the ref plasma-locally and slice
+        zero-copy. Returns task refs; the caller overlaps other work
+        before ``collect``."""
         total = sum(kt.num_rows for _, kt in popped)
-        if self.actors is None:
-            # tasks mode: chunks of batch_size, dynamically scheduled;
-            # ~3 chunks per worker lets the dynamic scheduler absorb
-            # stragglers in the small remainder epochs; the 1024 floor
-            # keeps them from fragmenting into overhead-dominated
-            # micro-tasks
-            size = max(
-                1,
-                min(
-                    self.cfg.fetch_batch_size,
-                    max(1024, -(-total // (3 * self.cfg.fetch_concurrency))),
-                ),
-            )
-        else:
-            # actors mode: one chunk per actor when possible (uniform
-            # work → balanced); chunk COUNT is driver latency.
-            size = max(1, min(self.cfg.fetch_batch_size, -(-total // len(self.actors))))
+        # ~3 chunks per worker lets the dynamic scheduler absorb
+        # stragglers in the small remainder epochs; the 1024 floor keeps
+        # them from fragmenting into overhead-dominated micro-tasks
+        size = max(
+            1,
+            min(
+                self.cfg.fetch_batch_size,
+                max(1024, -(-total // (3 * self.cfg.fetch_concurrency))),
+            ),
+        )
         refs = []
         ci = 0
         for ref, kt in popped:
             n = kt.num_rows
             for off in range(0, n, size):
                 ln = min(size, n - off)
-                if self.actors is None:
-                    refs.append(
-                        self._task.remote(
-                            [self.state_ref], ref, off, ln, epoch, ci,
-                            self.pages_dir, self.params,
-                        )
+                refs.append(
+                    self._task.remote(
+                        [self.state_ref], ref, off, ln, epoch, ci,
+                        self.pages_dir, self.params,
                     )
-                else:
-                    refs.append(
-                        self.actors[ci % len(self.actors)].fetch_chunk.remote(
-                            ref, off, ln, epoch, ci, self.pages_dir
-                        )
-                    )
+                )
                 ci += 1
         return refs
 
@@ -1157,20 +1082,16 @@ def run_crawl(
     _setup_s = _time.time() - _t_setup0
     popped = None  # ray: [(grant_ref, keys)] for epoch k; local: grant table
     step_refs = None  # in-flight pipelined step (ray only)
-    # in-flight FETCH epochs (ray only): each is collected only after
-    # up to ``overlap_depth`` newer epochs' chunks are dispatched, so a
-    # straggler tail (and, at depth ≥ 2, an entire politeness-starved
-    # tiny epoch) hides under the neighbors' execution. Folds always
-    # happen in epoch order, so outputs are invariant to the depth.
-    # Disabled for checkpointed runs — a snapshot must never race a
+    # the in-flight FETCH epoch (ray only, at most one): it is collected
+    # only after the next epoch's chunks are dispatched, so its
+    # straggler tail hides under the next epoch's execution. Folds
+    # happen in epoch order, so outputs are unchanged. Disabled for
+    # checkpointed runs — a snapshot must never race a
     # dispatched-but-uncollected epoch.
     inflight: list[tuple] = []  # [(fetch_refs, k_f, n_grants_f, t_pop_f, t_fetch_f)]
     overlap_fetch = (
         mode == "ray" and not (checkpoint_dir and cfg.checkpoint_every)
     )
-    # the pipelined step for epoch k+1 may only be issued once every
-    # link generation due by its horizon is folded: L ≥ depth + 1
-    overlap_depth = max(1, min(int(cfg.overlap_depth), L - 1)) if L >= 2 else 1
 
     def _finish_epoch(source, k_f, n_grants_f, t_pop_f, t_fetch_f) -> None:
         """Collect one epoch's fetch results and fold them into logs,
@@ -1319,22 +1240,18 @@ def run_crawl(
                         os.unlink(os.path.join(_ed, _f))
         if mode == "ray":
             fetch_refs = runner.dispatch(popped, k)
-            # older in-flight epochs now overlap this epoch's fetch;
-            # fold down to depth−1 so the oldest one's links land
-            # before the next step is issued (L ≥ depth+1 guarantees
-            # every generation due by that step's horizon is folded)
-            while len(inflight) >= overlap_depth:
-                _finish_epoch(*inflight.pop(0))
+            # the previous epoch ran under this epoch's pop and
+            # dispatch; fold it now so its links land before the next
+            # step is issued (L ≥ 2 puts every generation due by that
+            # step's horizon at or before the previous epoch)
+            _flush_inflight()
             # issue epoch k+1's step while the fetch runs — exact exit
-            # prediction (fetch_seq grows by exactly the in-flight +
-            # current grants) so a step never fires for an epoch the
-            # loop won't reach
-            pending_grants = sum(e[2] for e in inflight) + n_grants
-            will_continue = (
-                epochs_done + len(inflight) + 1 < cfg.max_epochs
-            ) and (
+            # prediction (fetch_seq grows by exactly this epoch's
+            # grants) so a step never fires for an epoch the loop won't
+            # reach
+            will_continue = (epochs_done + 1 < cfg.max_epochs) and (
                 cfg.max_fetches is None
-                or fetch_seq + pending_grants < cfg.max_fetches
+                or fetch_seq + n_grants < cfg.max_fetches
             )
             # never pipeline into a checkpoint epoch: the snapshot at the
             # end of THIS epoch must not miss grants a concurrent step

@@ -1,7 +1,10 @@
 """FrontierShard — one partition of the URL frontier (north star core).
 
 Each shard owns, for its partition of the host space:
-- the cuckoo-filter URL-seen truth set + bloom fast-reject tier,
+- the cuckoo-filter URL-seen set: one ``add_if_absent`` call per
+  applied batch decides every admission (a fast-reject tier in front
+  of it would save no probe, since a key it calls new must still be
+  inserted),
 - the lazy-deletion binary heap keyed (ready_time, priority desc, seq),
 - per-host politeness token buckets + the robots.txt cache,
 - the pending-URL payload store and counters.
@@ -30,7 +33,6 @@ from urllib.parse import urlsplit
 import numpy as np
 import pyarrow as pa
 
-from ..state.bloom import BloomFilter
 from ..state.cuckoo import CuckooFilter
 from ..state.heap import FrontierHeap
 from ..state.politeness import HostBuckets
@@ -84,7 +86,6 @@ class FrontierShard:
         self.salt_hosts = tuple(salt_hosts)
         self.salt_k = max(1, int(salt_k))
         self.cuckoo = CuckooFilter(capacity, seed=seed + partition_id)
-        self.bloom = BloomFilter(capacity, fp_rate=0.01)
         self.heap = FrontierHeap()
         self.buckets = HostBuckets(
             default_delay=default_delay,
@@ -166,7 +167,7 @@ class FrontierShard:
         self._apply_offer(merged.sort_by([("seq", "ascending")]))
 
     def _apply_offer(self, batch: pa.Table) -> dict:
-        """Admit candidate URLs: seen-dedup (bloom→cuckoo), robots gate,
+        """Admit candidate URLs: seen-dedup (cuckoo), robots gate,
         heap insert — all vectorized. Batch columns: url_canon, url_hash,
         host, path, priority, next_fetch_time, route, doc_id,
         options_json, seq.
@@ -180,20 +181,7 @@ class FrontierShard:
         if n == 0:
             return dict(self.counters)
         hashes = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        # bloom fast-reject: definitely-new keys skip nothing here (we
-        # must insert them anyway), but definitely-seen answers let us
-        # skip the cuckoo probe for the common duplicate case
-        maybe_seen = self.bloom.contains(hashes)
-        fresh = np.zeros(n, dtype=bool)
-        if (~maybe_seen).any():
-            idx = np.nonzero(~maybe_seen)[0]
-            f = self.cuckoo.add_if_absent(hashes[idx])
-            fresh[idx] = f
-        if maybe_seen.any():
-            idx = np.nonzero(maybe_seen)[0]
-            f = self.cuckoo.add_if_absent(hashes[idx])
-            fresh[idx] = f
-        self.bloom.add(hashes[fresh])
+        fresh = self.cuckoo.add_if_absent(hashes)
         self.counters["duplicate"] += int(n - fresh.sum())
         if not fresh.any():
             return dict(self.counters)
@@ -315,7 +303,7 @@ class FrontierShard:
                 self._ptables[ti] = None  # free consumed chunk
                 self._pmask[ti] = np.empty(0, dtype=bool)
 
-    def pop_epoch(self, horizon: int, limit: int | None = None) -> pa.Table:
+    def pop_epoch(self, horizon: int) -> pa.Table:
         """Grant fetches for every heap entry ready by ``horizon``.
 
         Pops in (ready_time, -priority, seq) order; each popped entry is
@@ -336,13 +324,6 @@ class FrontierShard:
         n = len(ready)
         if n == 0:
             return GRANT_SCHEMA.empty_table()
-        if limit is not None and n > limit:
-            # compatibility path: bounded pops push the overflow back
-            self.heap.push_bulk(ready[limit:], prio[limit:], seq[limit:], uh[limit:])
-            ready, prio, seq, uh = (
-                ready[:limit], prio[:limit], seq[:limit], uh[:limit],
-            )
-            n = limit
         payload = self._gather_payload(seq)
         hosts_l = payload.column("host").to_pylist()
         ensure = self.buckets._ensure
@@ -399,13 +380,13 @@ class FrontierShard:
         ]
         return pa.Table.from_arrays(arrays, schema=GRANT_SCHEMA)
 
-    def pop_epoch_ref(self, horizon: int, limit: int | None = None):
+    def pop_epoch_ref(self, horizon: int):
         """pop_epoch, but the grant table goes to the object store and
         only (ref, key columns) return — grant payloads never transit
         the driver. Requires a ray runtime (used via the actor path)."""
         import ray
 
-        grants = self.pop_epoch(horizon, limit)
+        grants = self.pop_epoch(horizon)
         keys = grants.select(["seq", "fetch_time", "priority"])
         return ray.put(grants), keys
 
@@ -421,9 +402,6 @@ class FrontierShard:
     def min_ready(self) -> int | None:
         self.flush()
         return self.heap.peek_ready_time()
-
-    def live_count(self) -> int:
-        return len(self.heap)
 
     def get_counters(self) -> dict:
         self.flush()
@@ -448,7 +426,6 @@ class FrontierShard:
         return {
             "partition_id": self.partition_id,
             "cuckoo": self.cuckoo.to_bytes(),
-            "bloom": self.bloom.to_bytes(),
             "heap": self.heap.to_table(),
             "buckets": self.buckets.to_table(),
             "payloads": payloads,
@@ -458,7 +435,6 @@ class FrontierShard:
 
     def restore(self, state: dict) -> None:
         self.cuckoo = CuckooFilter.from_bytes(state["cuckoo"])
-        self.bloom = BloomFilter.from_bytes(state["bloom"])
         self.heap = FrontierHeap.from_table(state["heap"])
         self.buckets = HostBuckets.from_table(
             state["buckets"],

@@ -103,13 +103,6 @@ def fingerprint(texts: list[str], window: int = 4) -> list[str]:
     return out
 
 
-def char_shingles(text: str, k: int = 5) -> set[str]:
-    t = " ".join((text or "").split())
-    if len(t) < k:
-        return {t} if t else set()
-    return {t[i : i + k] for i in range(len(t) - k + 1)}
-
-
 def word_ngrams(text: str, n: int = 3) -> set[str]:
     toks = (text or "").split()
     if len(toks) < n:

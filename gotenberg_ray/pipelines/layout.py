@@ -186,21 +186,6 @@ def zorder_scan(sf_dir: str) -> pd.DataFrame:
     return df.sort_values("l_returnflag").reset_index(drop=True)
 
 
-def _zorder_sql(sf_dir: str) -> str:
-    # the rectangle depends on the data maxima; rebuild it exactly
-    pmax, smax = _key_maxes(sf_dir)
-    p0, p1, s0, s1 = _rect(pmax, smax)
-    return f"""
-SELECT l_returnflag,
-       count(*)::BIGINT AS n,
-       sum(CAST(round(l_quantity) AS BIGINT))::BIGINT AS sum_qty
-FROM lineitem
-WHERE l_partkey BETWEEN {p0} AND {p1}
-  AND l_suppkey BETWEEN {s0} AND {s1}
-GROUP BY l_returnflag ORDER BY l_returnflag
-"""
-
-
 # static twin for the driver's fixed-sf gate (maxima are data-derived;
 # express them in SQL so the oracle is self-contained)
 ZORDER_SQL = """

@@ -1,10 +1,14 @@
-"""Bloom filter fast-reject tier for the URL-seen set (north rule).
+"""Bloom filter: a mergeable, probe-only key sketch.
 
-Sits in FRONT of the cuckoo-filter truth set inside each frontier
-shard: a negative answer skips the cuckoo probe entirely; positives
-fall through. Vectorized add/contains over uint64 key arrays; the
-serialized form (params + bit bytes) is part of the checkpoint format
-and must round-trip bit-identically.
+Its users are the join and incremental pipelines: ``build_key_bloom``
+(pipelines/joins.py) OR-merges per-batch filters of one join side so
+``hash_join(bloom_prune_left=True)`` drops left rows whose key cannot
+match, and ``dedup_incremental`` (pipelines/incremental.py) gates
+incoming documents against the existing corpus before the exact join.
+Both broadcast the filter through ``as_state``/``from_state``. The URL
+frontier does not use it: the cuckoo filter alone is the seen-set.
+Vectorized add/contains over uint64 key arrays; the byte form
+(params + bit bytes) round-trips bit-identically.
 
 Probes use double hashing h_i = h1 + i*h2 (Kirsch–Mitzenmacher) over
 splitmix64-derived halves, so membership is a pure function of the key
@@ -50,7 +54,7 @@ class BloomFilter:
         hit = (word >> (pos & np.uint64(63))) & np.uint64(1)
         return hit.all(axis=1)
 
-    # ---- checkpoint format -------------------------------------------------
+    # ---- byte format -------------------------------------------------------
     def to_bytes(self) -> bytes:
         header = np.array([self.capacity, self.m, self.k, self.count], dtype=np.int64)
         return header.tobytes() + np.float64(self.fp_rate).tobytes() + self.bits.tobytes()
@@ -65,7 +69,7 @@ class BloomFilter:
         return obj
 
     # ---- broadcast probe format --------------------------------------------
-    # to_bytes/from_bytes is the durable checkpoint format; for
+    # to_bytes/from_bytes is the durable byte format; for
     # broadcasting a PROBE-ONLY filter through the object store, ship
     # the bits as a numpy array instead: ``ray.get`` maps it zero-copy
     # from plasma (bytes objects are copied out), so per-task

@@ -337,17 +337,15 @@ def test_checkpoint_rewrite_is_atomic(small_world, tmp_path):
     assert leftovers == []
 
 
-def test_ray_depth2_overlap_matches_sequential_exactly(
-    ray_session, small_world, tmp_path
-):
-    """overlap_depth=2 (with the required link_latency_epochs=3) is a
-    pure execution detail: the ray pipeline must reproduce the
-    sequential reference's fetch ordering, counters and seen-set for
-    the same config bit-for-bit."""
+def test_ray_matches_sequential_at_link_latency_3(ray_session, small_world):
+    """link_latency_epochs=3 lets the pipelined shard step run two
+    epochs ahead of the link generations it must deliver: the ray
+    pipeline must still reproduce the sequential reference's fetch
+    ordering, counters and seen-set for the same config bit-for-bit."""
     import dataclasses
 
     docs, frontier, robots, cfg = small_world
-    cfg3 = dataclasses.replace(cfg, link_latency_epochs=3, overlap_depth=2)
+    cfg3 = dataclasses.replace(cfg, link_latency_epochs=3)
     seq = run_crawl(frontier, docs, robots, cfg3, mode="local")
     par = run_crawl(frontier, docs, robots, cfg3, mode="ray")
     assert seq.fetch_log.equals(par.fetch_log)
@@ -355,20 +353,91 @@ def test_ray_depth2_overlap_matches_sequential_exactly(
     assert seq.fetch_seq == par.fetch_seq and seq.fetch_seq > 0
 
 
-def test_overlap_depth_is_clamped_by_link_latency(ray_session, small_world):
-    """depth > L−1 would let a step fire before its due link
-    generations are folded; run_crawl must clamp, not misbehave —
-    depth=5 at L=2 behaves exactly like the default depth=1."""
-    import dataclasses
+def test_shard_seen_set_is_one_cuckoo_pass(tmp_path):
+    """A FrontierShard admits exactly what one CuckooFilter.add_if_absent
+    over the seq-sorted batch calls new, minus robots denials — for a
+    batch mixing fresh keys, keys seen in an earlier batch, in-batch
+    duplicates and robots-denied rows, offered in shuffled seq order.
+    The checkpoint has no bloom entry and is byte-stable through
+    checkpoint → restore → checkpoint."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    docs, frontier, robots, cfg = small_world
-    base = run_crawl(frontier, docs, robots, cfg, mode="ray")
-    deep = run_crawl(
-        frontier, docs, robots,
-        dataclasses.replace(cfg, overlap_depth=5), mode="ray",
+    from gotenberg_ray.frontier.crawler import CANDIDATE_SCHEMA
+    from gotenberg_ray.frontier.shard import FrontierShard
+    from gotenberg_ray.functions.hashing import fnv64
+    from gotenberg_ray.state.cuckoo import CuckooFilter
+
+    robots = {"b.example": "User-agent: *\nDisallow: /private/\n"}
+
+    def batch(rows):  # rows: [(seq, host, path)]
+        urls = [f"http://{h}{p}" for _, h, p in rows]
+        n = len(rows)
+        return pa.table(
+            {
+                "url_canon": urls,
+                "url_hash": pa.array(fnv64(pa.array(urls)), pa.uint64()),
+                "host": [h for _, h, _ in rows],
+                "path": [p for _, _, p in rows],
+                "priority": pa.array(np.zeros(n), pa.int32()),
+                "next_fetch_time": pa.array(np.zeros(n), pa.int64()),
+                "route": ["convert/url"] * n,
+                "doc_id": ["doc-000000"] * n,
+                "options_json": ["{}"] * n,
+                "seq": pa.array([s for s, _, _ in rows], pa.int64()),
+            },
+            schema=CANDIDATE_SCHEMA,
+        )
+
+    first = [(i, "a.example", f"/old/{i}") for i in range(6)]
+    second = (
+        [(10 + i, "a.example", f"/new/{i}") for i in range(5)]  # fresh
+        + [(20 + i, "a.example", f"/old/{i}") for i in range(3)]  # seen before
+        + [(30, "a.example", "/dup"), (31, "a.example", "/dup"),
+           (32, "b.example", "/dup"), (33, "b.example", "/dup")]  # in-batch dups
+        + [(40 + i, "b.example", f"/private/{i}") for i in range(3)]  # denied
+        + [(50, "b.example", "/private/0")]  # denied, then a duplicate
     )
-    assert base.fetch_log.equals(deep.fetch_log)
-    assert base.counters == deep.counters
+    shuffled = [second[i] for i in np.random.default_rng(5).permutation(len(second))]
+
+    def make_shard():
+        return FrontierShard(0, capacity=1 << 10, seed=3, robots_texts=robots)
+
+    shard = make_shard()
+    shard.offer(batch(first))
+    shard.flush()
+    before = dict(shard.get_counters())
+    shard.offer(batch(shuffled[:7]))
+    shard.offer(batch(shuffled[7:]))
+    shard.flush()
+    after = shard.get_counters()
+
+    ref = CuckooFilter(1 << 10, seed=3)
+    ref.add_if_absent(batch(first).column("url_hash").to_numpy())
+    ordered = batch(second).sort_by("seq")
+    fresh = ref.add_if_absent(ordered.column("url_hash").to_numpy())
+    denied = np.array(["/private/" in p for p in ordered.column("path").to_pylist()])
+    seqs = ordered.column("seq").to_numpy()
+    assert after["duplicate"] - before["duplicate"] == int((~fresh).sum()) == 6
+    assert after["robots_denied"] - before["robots_denied"] == int((fresh & denied).sum()) == 3
+    state = shard.checkpoint()
+    admitted = state["payloads"].column("seq").to_pylist()
+    assert admitted == list(range(6)) + seqs[fresh & ~denied].tolist()
+    assert shard.cuckoo.to_bytes() == ref.to_bytes()
+
+    assert "bloom" not in state
+    assert "bloom" not in ckpt.shard_state_to_table(state).column_names
+
+    def snapshot_bytes(st, name):
+        path = str(tmp_path / name)
+        pq.write_table(ckpt.shard_state_to_table(st), path)
+        with open(path, "rb") as f:
+            return f.read()
+
+    restored = make_shard()
+    restored.restore(state)
+    assert snapshot_bytes(restored.checkpoint(), "b") == snapshot_bytes(state, "a")
 
 
 def test_synthetic_links_batch_matches_scalar_reference():

@@ -5,7 +5,8 @@ invariants every downstream operator silently relies on:
   the frontier must map to the same seen-key, or dedup breaks);
 - the cuckoo seen-set has NO FALSE NEGATIVES (a lost URL is a crawl
   correctness bug; false positives only cost a skipped refetch);
-- the bloom fast-reject tier never rejects a present key;
+- the bloom filter (join pruning, incremental gate) never rejects a
+  present key;
 - the bucketed hash join equals a reference pandas merge for arbitrary
   key multiplicity (inner + left outer, many-to-many multiplication);
 - sampling priorities are permutation-invariant (block layout can't
