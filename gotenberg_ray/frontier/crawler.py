@@ -717,10 +717,7 @@ def _convert_and_write(
         d = f"{pages_dir}/epoch={epoch:06d}"
         os.makedirs(d, exist_ok=True)
         pq.write_table(converted, f"{d}/part-{chunk:04d}.parquet")
-    col = converted.column("spans")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return pc.sum(pc.list_value_length(col)).as_py() or 0
+    return pc.sum(pc.list_value_length(converted.column("spans"))).as_py() or 0
 
 
 class LocalFetchRunner:

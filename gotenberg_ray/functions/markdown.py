@@ -150,18 +150,22 @@ _ALLOWED_ATTRS = {"href", "src", "alt", "title", "width", "height", "colspan", "
 
 _TAG_RE = re.compile(r"<(/?)([a-zA-Z][a-zA-Z0-9]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
 _ATTR_RE = re.compile(r"([a-zA-Z-]+)\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s\"'>]+)")
-_DROP_CONTENT_TAGS = ("script", "style")
+# script/style elements: (with their content, stray open/self-closing tags)
+_DROP_CONTENT_RES = tuple(
+    (
+        re.compile(rf"<{tag}\b[^>]*>.*?</{tag}\s*>", re.S | re.I),
+        re.compile(rf"<{tag}\b[^>]*/?>", re.I),
+    )
+    for tag in ("script", "style")
+)
 _JS_URL_RE = re.compile(r"\s*javascript:", re.I)
 
 
 def sanitize_html(src: str) -> str:
     """Strip disallowed tags/attributes (UGC policy semantics)."""
     # remove script/style elements with their content
-    for tag in _DROP_CONTENT_TAGS:
-        src = re.sub(
-            rf"<{tag}\b[^>]*>.*?</{tag}\s*>", "", src, flags=re.S | re.I
-        )
-        src = re.sub(rf"<{tag}\b[^>]*/?>", "", src, flags=re.I)
+    for element_re, tag_re in _DROP_CONTENT_RES:
+        src = tag_re.sub("", element_re.sub("", src))
 
     def repl(m: re.Match) -> str:
         close, name, attrs, selfclose = m.groups()

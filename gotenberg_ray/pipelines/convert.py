@@ -37,7 +37,6 @@ from .convert_vec import _render_template
 from ..schemas import (
     ERR_INVALID_INPUT,
     ERR_NONE,
-    KIND_PAGE_BREAK,
     KIND_TEXT,
     SPAN_STRUCT as SPAN_STRUCT_TYPE,
     SPANS_TYPE,
@@ -309,73 +308,65 @@ PAGES_OUT_SCHEMA = pa.schema(PAGES_OUT_FIELDS)
 
 
 def _page_counts_vector(spans: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """page_count per row without leaving Arrow: #page_break spans + 1
-    for non-empty docs."""
+    """page_count per row: #page_break spans + 1 for non-empty docs,
+    from one prefix sum over the span kinds."""
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.combine_chunks()
-    lengths = pc.list_value_length(spans).to_numpy(zero_copy_only=False)
-    flat = pc.list_flatten(spans)
-    parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    is_break = pc.equal(flat.field("kind"), KIND_PAGE_BREAK).to_numpy(
-        zero_copy_only=False
-    )
-    counts = np.zeros(len(spans), dtype=np.int32)
-    np.add.at(counts, parents[is_break], 1)
-    counts = counts + (lengths > 0)
-    return pa.array(counts, pa.int32())
+    offs = spans.offsets.to_numpy(zero_copy_only=False)
+    breaks = CV._cum0(CV.kind_codes(spans.values.field("kind")) == CV.PB)
+    counts = breaks[offs[1:]] - breaks[offs[:-1]] + (offs[1:] > offs[:-1])
+    return pa.array(counts.astype(np.int32))
 
 
-def _identity_parts(batch: pa.Table) -> pa.Table:
-    """Vectorized whole-batch fast path: every row is a success with
-    default options → the chain is the identity; spans stay zero-copy."""
-    n = batch.num_rows
-    doc_ids = batch.column("doc_id")
+def _single_parts(
+    doc_ids, spans, names, page_count, metadata=None, status=None, error=None
+) -> pa.Table:
+    """One part row per input row; columns not given get the defaults."""
+    n = len(doc_ids)
+
+    def const(v: str) -> pa.Array:
+        return pa.array([v] * n, pa.string())
+
     arrays = [
         doc_ids,
         pa.array(np.zeros(n, dtype=np.int32)),
-        batch.column("spans"),
-        doc_ids,  # output_name = doc_id
-        pa.array([""] * n, pa.string()),
+        spans,
+        names,
+        const(""),
         pa.array(np.zeros(n, dtype=bool)),
-        pa.array(["{}"] * n, pa.string()),
-        pa.array(["[]"] * n, pa.string()),
-        pa.array([""] * n, pa.string()),
-        pa.array([STATUS_SUCCESS] * n, pa.string()),
-        pa.array([ERR_NONE] * n, pa.string()),
-        _page_counts_vector(batch.column("spans")),
+        const("{}") if metadata is None else metadata,
+        const("[]"),
+        const(""),
+        const(STATUS_SUCCESS) if status is None else status,
+        const(ERR_NONE) if error is None else error,
+        page_count,
     ]
     return pa.Table.from_arrays(arrays, schema=PAGES_OUT_SCHEMA)
 
 
-def _const_parts(batch: pa.Table, status_col, error_col) -> pa.Table:
-    """Vectorized pass-through/error parts: empty spans, constant cols."""
-    n = batch.num_rows
-    doc_ids = batch.column("doc_id")
-    empty_struct = pa.array([], SPAN_STRUCT_TYPE)
-    empty_spans = pa.ListArray.from_arrays(
-        pa.array(np.zeros(n + 1, dtype=np.int32)), empty_struct
+def _error_parts(sub: pa.Table, ok: np.ndarray) -> pa.Table:
+    """Empty parts: fetch-error rows keep their status/error_type,
+    ``ok`` rows are option failures (400 family)."""
+    n = sub.num_rows
+    names = sub.column_names
+    status = _col(sub, "status") if "status" in names else pa.array([STATUS_SUCCESS] * n)
+    error = _col(sub, "error_type") if "error_type" in names else pa.array([ERR_NONE] * n)
+    if ok.any():
+        mask = pa.array(ok)
+        status = pc.if_else(mask, pa.scalar(STATUS_ERROR), status)
+        error = pc.if_else(mask, pa.scalar(ERR_INVALID_INPUT), error)
+    empty = pa.ListArray.from_arrays(
+        pa.array(np.zeros(n + 1, dtype=np.int32)), pa.array([], SPAN_STRUCT_TYPE)
     )
-    arrays = [
-        doc_ids,
-        pa.array(np.zeros(n, dtype=np.int32)),
-        empty_spans,
-        doc_ids,
-        pa.array([""] * n, pa.string()),
-        pa.array(np.zeros(n, dtype=bool)),
-        pa.array(["{}"] * n, pa.string()),
-        pa.array(["[]"] * n, pa.string()),
-        pa.array([""] * n, pa.string()),
-        status_col,
-        error_col,
-        pa.array(np.zeros(n, dtype=np.int32)),
-    ]
-    return pa.Table.from_arrays(arrays, schema=PAGES_OUT_SCHEMA)
+    doc_ids = sub.column("doc_id")
+    zeros = pa.array(np.zeros(n, dtype=np.int32))
+    return _single_parts(doc_ids, empty, doc_ids, zeros, status=status, error=error)
 
 
-def _screenshot_parts(sub: pa.Table, opts: ScreenshotOptions) -> pa.Table:
-    """Vectorized screenshot capture for one (options, route) group:
-    one image part per input row (browser.go:365-390 screenshot task
-    chain; tasks.go:183-229 captureScreenshot).
+def _screenshot_parts(sub: pa.Table, codes: np.ndarray, shots: list[ScreenshotOptions]) -> pa.Table:
+    """Vectorized screenshot capture: one image part per input row, row
+    i captured with ``shots[codes[i]]`` (browser.go:365-390 screenshot
+    task chain; tasks.go:183-229 captureScreenshot).
 
     Span-model semantics: the capture is a raster, represented as a
     single media span whose media_ref is the output image name. The
@@ -386,7 +377,9 @@ def _screenshot_parts(sub: pa.Table, opts: ScreenshotOptions) -> pa.Table:
     jpeg only (tasks.go:199-202). page_count of an image part is 1."""
     n = sub.num_rows
     doc_ids = _col(sub, "doc_id")
-    out_names = pc.binary_join_element_wise(doc_ids, pa.scalar("." + opts.format), pa.scalar(""))
+    idx = pa.array(codes)
+    exts = pa.array(["." + o.format for o in shots], pa.string()).take(idx)
+    out_names = pc.binary_join_element_wise(doc_ids, exts, pa.scalar(""))
     # one media span per row: {kind: media, media_ref: output_name}
     struct = pa.StructArray.from_arrays(
         [
@@ -400,165 +393,156 @@ def _screenshot_parts(sub: pa.Table, opts: ScreenshotOptions) -> pa.Table:
     spans = pa.ListArray.from_arrays(
         pa.array(np.arange(n + 1, dtype=np.int32)), struct
     )
-    base = {
-        "clip": opts.clip,
-        "deviceScaleFactor": opts.device_scale_factor,
-        "format": opts.format,
-        "height": opts.height,
-        "omitBackground": opts.omit_background,
-        "optimizeForSpeed": opts.optimize_for_speed,
-        "width": opts.width,
-    }
-    if opts.format == "jpeg":
-        base["quality"] = opts.quality
-    prefix = json.dumps(base, sort_keys=True)[:-1] + ', "captured_pages": '
-    if opts.clip:
-        captured = pa.array(np.ones(n, dtype=np.int64))
-    else:
-        captured = pc.cast(_page_counts_vector(sub.column("spans")), pa.int64())
+    prefixes = []
+    for o in shots:
+        base = {
+            "clip": o.clip,
+            "deviceScaleFactor": o.device_scale_factor,
+            "format": o.format,
+            "height": o.height,
+            "omitBackground": o.omit_background,
+            "optimizeForSpeed": o.optimize_for_speed,
+            "width": o.width,
+        }
+        if o.format == "jpeg":
+            base["quality"] = o.quality
+        prefixes.append(json.dumps(base, sort_keys=True)[:-1] + ', "captured_pages": ')
+    clip = np.array([bool(o.clip) for o in shots])[codes]
+    pages = _page_counts_vector(sub.column("spans")).to_numpy(zero_copy_only=False)
     metadata = pc.binary_join_element_wise(
-        pa.scalar(prefix), pc.cast(captured, pa.string()), pa.scalar("}"), pa.scalar("")
+        pa.array(prefixes, pa.string()).take(idx),
+        pc.cast(pa.array(np.where(clip, 1, pages).astype(np.int64)), pa.string()),
+        pa.scalar("}"),
+        pa.scalar(""),
     )
-    arrays = [
-        doc_ids,
-        pa.array(np.zeros(n, dtype=np.int32)),
-        spans,
-        out_names,
-        pa.array([""] * n, pa.string()),
-        pa.array(np.zeros(n, dtype=bool)),
-        metadata,
-        pa.array(["[]"] * n, pa.string()),
-        pa.array([""] * n, pa.string()),
-        pa.array([STATUS_SUCCESS] * n, pa.string()),
-        pa.array([ERR_NONE] * n, pa.string()),
-        pa.array(np.ones(n, dtype=np.int32)),
-    ]
-    return pa.Table.from_arrays(arrays, schema=PAGES_OUT_SCHEMA)
+    ones = pa.array(np.ones(n, dtype=np.int32))
+    return _single_parts(doc_ids, spans, out_names, ones, metadata=metadata)
 
 
-def convert_batch(batch: pa.Table) -> pa.Table:
-    """map_batches adapter: rows (doc_id, spans, options_json[, status])
-    → part rows. Rows that arrived as fetch errors pass through as
-    error parts; option/validation failures become 400-family rows
-    (never exceptions — errors are data, middlewares.go:38-88).
+def _kernel_parts(sub: pa.Table, codes: np.ndarray, plans: list[CV.KernelPlan]) -> pa.Table:
+    try:
+        cols = CV.convert_rows(sub.column("spans"), _col(sub, "doc_id"), codes, plans)
+    except CV.REQUEST_ERRORS:
+        # anything kernel_plan() can't pre-screen: the row path turns it
+        # into 400-family rows — errors are data, never stage crashes
+        return _convert_rows_fallback(sub)
+    return pa.Table.from_arrays(
+        [cols[name] for name, _ in PAGES_OUT_FIELDS], schema=PAGES_OUT_SCHEMA
+    )
 
-    Dispatch is per (options_json, route) GROUP: default-option rows are
-    the zero-copy identity, the recurring option mixes run through the
-    Arrow-native kernels in ``convert_vec``, and anything else falls
-    back to the per-row chain. Output row order is grouped (first
-    occurrence order), not input order — consumers key on
-    doc_id/part_index."""
-    if batch.num_rows == 0:
-        return PAGES_OUT_SCHEMA.empty_table()
-    if "status" in batch.column_names:
-        err_mask = pc.not_equal(batch.column("status"), STATUS_SUCCESS)
-        n_err = pc.sum(pc.cast(err_mask, pa.int64())).as_py() or 0
-        if n_err:
-            err_rows = batch.filter(err_mask)
-            ok_rows = batch.filter(pc.invert(err_mask))
-            parts = [
-                _const_parts(
-                    err_rows, err_rows.column("status"),
-                    err_rows.column("error_type")
-                    if "error_type" in err_rows.column_names
-                    else pa.array([ERR_NONE] * err_rows.num_rows, pa.string()),
-                )
-            ]
-            if ok_rows.num_rows:
-                parts.append(convert_batch(ok_rows))
-            return pa.concat_tables(parts)
 
-    opts_col = batch.column("options_json")
-    if isinstance(opts_col, pa.ChunkedArray):
-        opts_col = opts_col.combine_chunks()
-    if "route" in batch.column_names:
-        route_col = batch.column("route")
-        combo = pc.binary_join_element_wise(opts_col, route_col, pa.scalar("\x1f"))
-        if isinstance(combo, pa.ChunkedArray):
-            combo = combo.combine_chunks()
-    else:
-        combo = pc.binary_join_element_wise(
-            opts_col, pa.scalar("convert/url"), pa.scalar("\x1f")
-        )
-        if isinstance(combo, pa.ChunkedArray):
-            combo = combo.combine_chunks()
-    enc = combo.dictionary_encode()
-    codes = enc.indices.to_numpy(zero_copy_only=False)
-    keys = enc.dictionary.to_pylist()
-    outs: list[pa.Table] = []
-    for code, key in enumerate(keys):
-        opts_json, route = key.rsplit("\x1f", 1)
-        sub = (
-            batch
-            if len(keys) == 1
-            else batch.take(pa.array(np.nonzero(codes == code)[0]))
-        )
+# the input columns convert reads — the only ones its take copies
+_READS = ("doc_id", "spans", "options_json", "route", "status", "error_type")
+# passes, in the order their rows sit in the taken batch
+_ERRORS, _SHOTS, _IDENTITY, _KERNEL, _ROWS = range(5)
+
+
+def _plan(key: str) -> tuple[int, object]:
+    """(pass, typed parameters) of one options_json\x1froute pair."""
+    opts_json, route = key.rsplit("\x1f", 1)
+    try:
         if route.startswith("screenshot/"):
             # screenshot routes produce image parts, never the PDF
             # post-processing chain (routes.go:845-859 screenshot routes)
-            try:
-                sopts = ScreenshotOptions.from_json(opts_json)
-            except (S.InvalidInput, S.MethodNotSupported):
-                n = sub.num_rows
-                outs.append(
-                    _const_parts(
-                        sub,
-                        pa.array([STATUS_ERROR] * n, pa.string()),
-                        pa.array([ERR_INVALID_INPUT] * n, pa.string()),
-                    )
-                )
-                continue
-            outs.append(_screenshot_parts(sub, sopts))
-            continue
+            return _SHOTS, ScreenshotOptions.from_json(opts_json)
         if opts_json == "{}" and route != "convert/markdown":
-            # identity chain: zero-copy spans (routes.go default path)
-            outs.append(_identity_parts(sub))
-            continue
-        try:
-            opts = ConvertOptions.from_json(opts_json)
-        except (S.InvalidInput, S.MethodNotSupported):
-            n = sub.num_rows
-            outs.append(
-                _const_parts(
-                    sub,
-                    pa.array([STATUS_ERROR] * n, pa.string()),
-                    pa.array([ERR_INVALID_INPUT] * n, pa.string()),
-                )
-            )
-            continue
-        if CV.vectorizable(opts, route):
-            try:
-                cols = CV.convert_group(
-                    sub.column("spans"), _col(sub, "doc_id"), opts, route
-                )
-            except (
-                S.InvalidInput,
-                S.MethodNotSupported,
-                TypeError,
-                AttributeError,
-                ValueError,
-                KeyError,
-            ):
-                # option combinations vectorizable() can't pre-screen
-                # (bad pdfa level, wrongly-typed metadata, …): fall to
-                # the row path, which turns them into 400-family rows —
-                # errors are data, never stage crashes
-                cols = None
-            if cols is not None:
-                outs.append(
-                    pa.Table.from_arrays(
-                        [cols[name] for name, _ in PAGES_OUT_FIELDS],
-                        schema=PAGES_OUT_SCHEMA,
-                    )
-                )
-                continue
-        outs.append(_convert_rows_fallback(sub))
-    return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+            return _IDENTITY, None
+        plan = CV.kernel_plan(ConvertOptions.from_json(opts_json), route)
+    except CV.REQUEST_ERRORS:  # e.g. JSON that is no object: a 400 row
+        return _ERRORS, None
+    return (_ROWS, None) if plan is None else (_KERNEL, plan)
 
 
-def _col(t: pa.Table, name: str) -> pa.Array:
+def convert_batch(batch: pa.Table) -> pa.Table:
+    """map_batches adapter: rows (doc_id, spans, options_json[, route,
+    status, error_type]) → part rows. Rows that arrived as fetch errors
+    pass through as error parts; option/validation failures become
+    400-family rows (never exceptions — errors are data,
+    middlewares.go:38-88). A null options_json or route reads as the
+    default ("{}", "convert/url").
+
+    One pass per batch, whatever its option mix: each distinct
+    (options_json, route) pair is decoded once, every row gets its
+    pair's pass by dictionary code, and ONE take of the columns convert
+    reads sorts the rows by pass. Error rows become constant parts,
+    screenshot rows image parts, default-option rows the zero-copy
+    identity, kernel rows one ``convert_vec.convert_rows`` run with
+    per-row parameters, and the rest one per-row chain call. Output
+    order: error rows first (input order), then the pairs in order of
+    first occurrence, input order within a pair, each row's parts
+    ascending — consumers key on doc_id/part_index."""
+    n = batch.num_rows
+    if n == 0:
+        return PAGES_OUT_SCHEMA.empty_table()
+    have = set(batch.column_names)
+    names = [c for c in _READS if c in have]
+    t = pa.Table.from_arrays([batch.column(c) for c in names], names=names)
+    ok = (
+        pc.equal(_col(t, "status", ""), STATUS_SUCCESS).to_numpy(zero_copy_only=False)
+        if "status" in names
+        else np.ones(n, dtype=bool)
+    )
+    combo = pc.binary_join_element_wise(
+        _col(t, "options_json", "{}"),
+        _col(t, "route", "convert/url") if "route" in names else "convert/url",
+        pa.scalar("\x1f"),
+    )
+    enc = combo.dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    plans = [_plan(k) for k in CV._strs(enc.dictionary)]
+    row_pass = np.array([p for p, _ in plans])[codes]
+    row_pass[~ok] = _ERRORS
+    kernel = row_pass == _KERNEL
+    if kernel.any():
+        row_pass[kernel & CV.foreign_kind_rows(_col(t, "spans"))] = _ROWS
+
+    # output rank: error rows, then pairs by first ok occurrence
+    first = np.full(len(plans), n, dtype=np.int64)
+    np.minimum.at(first, codes[ok], np.nonzero(ok)[0])
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.where(ok, first[codes], -1), kind="stable")] = np.arange(n)
+    perm = np.lexsort((rank, row_pass))
+    sorted_t = t if (perm == np.arange(n)).all() else t.take(perm)
+    bounds = CV._cum0(np.bincount(row_pass, minlength=5))
+    outs = []
+    for p in range(5):
+        a, b = bounds[p], bounds[p + 1]
+        if a == b:
+            continue
+        sub, rows = sorted_t.slice(a, b - a), perm[a:b]
+        if p in (_SHOTS, _KERNEL):
+            used, local = np.unique(codes[rows], return_inverse=True)
+            params = [plans[c][1] for c in used]
+        if p == _ERRORS:
+            outs.append(_error_parts(sub, ok[rows]))
+        elif p == _SHOTS:
+            outs.append(_screenshot_parts(sub, local, params))
+        elif p == _IDENTITY:
+            # identity chain: the spans as taken (routes.go default path)
+            spans, doc_ids = sub.column("spans"), sub.column("doc_id")
+            outs.append(_single_parts(doc_ids, spans, doc_ids, _page_counts_vector(spans)))
+        elif p == _KERNEL:
+            outs.append(_kernel_parts(sub, local, params))
+        else:
+            outs.append(_convert_rows_fallback(sub))
+    out = outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+
+    # back to output rank: every row yields parts 0, 1, … contiguously,
+    # so part_index 0 marks where the next input row's parts begin; the
+    # reorder is zero-copy slices of the runs already in rank order
+    starts = out.column("part_index").to_numpy() == 0
+    order = np.argsort(rank[perm][np.cumsum(starts) - 1], kind="stable")
+    cuts = np.flatnonzero(np.diff(order, prepend=-2) != 1)
+    if len(cuts) == 1:
+        return out
+    lens = np.diff(cuts, append=len(order))
+    return pa.concat_tables([out.slice(order[c], m) for c, m in zip(cuts, lens)])
+
+
+def _col(t: pa.Table, name: str, fill: str | None = None) -> pa.Array:
     c = t.column(name)
-    return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+    c = c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
+    return pc.fill_null(c, fill) if fill is not None and c.null_count else c
 
 
 def _convert_rows_fallback(batch: pa.Table) -> pa.Table:
@@ -626,18 +610,7 @@ def _convert_rows_fallback(batch: pa.Table) -> pa.Table:
                 ]
             for p in convert_row(doc_ids[i], spans_i, opts):
                 emit(doc_ids[i], p)
-        except (
-            S.InvalidInput,
-            S.MethodNotSupported,
-            # wrongly-TYPED option values (list where a dict belongs,
-            # non-string keys, …) surface as these from the span
-            # algebra — the reference maps every malformed request to
-            # a 400, never a crash (api/context.go form validation)
-            TypeError,
-            AttributeError,
-            ValueError,
-            KeyError,
-        ):
+        except CV.REQUEST_ERRORS:
             emit(
                 doc_ids[i],
                 PartRow(
