@@ -1,12 +1,23 @@
 """Crawl scheduler: epoch-synchronous virtual-time driver loop.
 
-The same loop runs in two orchestrations:
+One loop (``run_crawl``) drives either of two (shard set, fetch runner)
+pairs, picked once from ``mode``:
 
-- ``mode="local"`` — the *reference scheduler*: plain FrontierShard
-  objects driven sequentially in one process. This is the ground truth
-  the north rule's determinism criterion compares against.
-- ``mode="ray"`` — shards wrapped in Ray actors, the fetch/render
-  stage as stateless Ray tasks over Arrow grant chunks.
+- ``mode="local"`` — ``LocalShards`` + ``LocalFetchRunner``, the
+  *reference scheduler*: plain FrontierShard objects and the fetch
+  stage run sequentially in one process. This is the ground truth the
+  north rule's determinism criterion compares against.
+- ``mode="ray"`` — ``RayShards`` + ``RayFetchRunner``: the same shards
+  wrapped in Ray actors, the fetch/render stage as stateless Ray tasks
+  over Arrow grant chunks.
+
+Both shard sets step as ``step_refs(generations, horizon)`` then
+``collect``; both runners fetch as ``dispatch(popped, epoch)`` then
+``collect``, over one fetch→convert→admit body (``_FetchWorker.fetch``).
+The local pair runs a step or a fetch when it is collected; the Ray pair
+runs it while the driver does other work. Whether an epoch's fold may
+trail the next dispatch, and whether seed admission fans out, are class
+attributes of the runner, not branches of the loop.
 
 Shared contract (bit-identical by construction, SURVEY §7.5):
 - virtual time in integer ticks; epoch k covers [kW, (k+1)W).
@@ -34,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import time
 from typing import Callable
 
 import numpy as np
@@ -240,14 +252,14 @@ def _admission_errors(
     ).to_numpy(zero_copy_only=False)
     err[~ok_scheme] = ERR_INVALID_INPUT  # scheme reject, routes.go:417-435
     if url_filter.allow or url_filter.deny:
-        dec = url_filter.decide_batch(canon.to_pylist())
+        dec = url_filter.decide_batch(canon.to_numpy(zero_copy_only=False).tolist())
         err[ok_scheme & ~dec] = ERR_FILTERED
     # IP-class policy: only hosts that LOOK like IP literals get parsed
     ip_like = pc.match_substring_regex(hosts, _IP_PREFIX_PAT).to_numpy(
         zero_copy_only=False
     )
     if ip_like.any():
-        hosts_l = hosts.to_pylist()
+        hosts_l = hosts.to_numpy(zero_copy_only=False).tolist()
         for i in np.nonzero(ip_like & (err == ""))[0]:
             if host_ip_policy(hosts_l[i]) == "non_public":
                 err[i] = ERR_FILTERED  # outbound.go IP-class policy
@@ -262,6 +274,27 @@ def _paths_of_canon(canon: pa.Array) -> pa.Array:
     return pc.if_else(pc.equal(p, ""), pa.scalar("/"), p)
 
 
+def _admit_urls(urls: pa.Array | pa.ChunkedArray, url_filter: UrlFilter) -> tuple:
+    """The admission body both entry points share: canonicalize →
+    scheme/regex/IP-policy gate. Returns (ok, canon, host, url_hash,
+    path, rejected): the accepted-row mask, the accepted rows' four
+    columns, and the rejected (url, error_type) rows."""
+    if isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    canon, hosts, hashes = canonicalize_batch(urls)
+    err = _admission_errors(canon, hosts, url_filter)
+    ok = err == ""
+    ok_pa = pa.array(ok)
+    canon_ok = canon.filter(ok_pa)
+    rejected = pa.table(
+        {
+            "url": urls.filter(pa.array(~ok)),
+            "error_type": pa.array(err[~ok].tolist(), pa.string()),
+        }
+    )
+    return ok_pa, canon_ok, hosts.filter(ok_pa), hashes[ok], _paths_of_canon(canon_ok), rejected
+
+
 def admit_candidates(
     batch: pa.Table, url_filter: UrlFilter
 ) -> tuple[pa.Table, pa.Table]:
@@ -271,32 +304,21 @@ def admit_candidates(
     options_json, seq. Out: (accepted CANDIDATE_SCHEMA rows, rejected
     rows with error_type).
     """
-    urls = batch.column("url")
-    canon, hosts, hashes = canonicalize_batch(urls)
-    err = _admission_errors(canon, hosts, url_filter)
-    ok = err == ""
-    ok_pa = pa.array(ok)
-    canon_ok = canon.filter(ok_pa)
+    ok, canon, hosts, hashes, paths, rejected = _admit_urls(batch.column("url"), url_filter)
     accepted = pa.table(
         {
-            "url_canon": canon_ok,
-            "url_hash": pa.array(hashes[ok]),
-            "host": hosts.filter(ok_pa),
-            "path": _paths_of_canon(canon_ok),
-            "priority": batch.column("priority").filter(ok_pa).cast(pa.int32()),
-            "next_fetch_time": batch.column("next_fetch_time").filter(ok_pa),
-            "route": batch.column("route").filter(ok_pa),
-            "doc_id": batch.column("doc_id").filter(ok_pa),
-            "options_json": batch.column("options_json").filter(ok_pa),
-            "seq": batch.column("seq").filter(ok_pa),
+            "url_canon": canon,
+            "url_hash": pa.array(hashes),
+            "host": hosts,
+            "path": paths,
+            "priority": batch.column("priority").filter(ok).cast(pa.int32()),
+            "next_fetch_time": batch.column("next_fetch_time").filter(ok),
+            "route": batch.column("route").filter(ok),
+            "doc_id": batch.column("doc_id").filter(ok),
+            "options_json": batch.column("options_json").filter(ok),
+            "seq": batch.column("seq").filter(ok),
         },
         schema=CANDIDATE_SCHEMA,
-    )
-    rejected = pa.table(
-        {
-            "url": urls.filter(pa.array(~ok)),
-            "error_type": pa.array([e for e in err if e], pa.string()),
-        }
     )
     return accepted, rejected
 
@@ -314,28 +336,19 @@ def admit_links(
     parent_priority, url, link_index). Out: LINK_CANDIDATE_COLS rows +
     rejected (url, error_type). Link priority decays by 1 per hop;
     doc_id (the synthetic fetch-result key) is fnv64(url) % n_docs."""
-    urls = links.column("url")
-    if isinstance(urls, pa.ChunkedArray):
-        urls = urls.combine_chunks()
-    canon, hosts, hashes = canonicalize_batch(urls)
-    err = _admission_errors(canon, hosts, url_filter)
-    ok = err == ""
-    ok_pa = pa.array(ok)
-    canon_ok = canon.filter(ok_pa)
-    hosts_ok = hosts.filter(ok_pa)
-    hashes_ok = hashes[ok]
-    doc_ids = hashes_ok % np.uint64(max(1, n_docs))
-    options_mix, routes_mix = _options_for_hashes(hashes_ok)
+    ok, canon, hosts, hashes, paths, rejected = _admit_urls(links.column("url"), url_filter)
+    doc_ids = hashes % np.uint64(max(1, n_docs))
+    options_mix, routes_mix = _options_for_hashes(hashes)
     accepted = pa.table(
         {
-            "parent_seq": links.column("parent_seq").filter(ok_pa),
-            "link_index": links.column("link_index").filter(ok_pa),
-            "url_canon": canon_ok,
-            "url_hash": pa.array(hashes_ok),
-            "host": hosts_ok,
-            "path": _paths_of_canon(canon_ok),
+            "parent_seq": links.column("parent_seq").filter(ok),
+            "link_index": links.column("link_index").filter(ok),
+            "url_canon": canon,
+            "url_hash": pa.array(hashes),
+            "host": hosts,
+            "path": paths,
             "priority": pc.max_element_wise(
-                pc.subtract(links.column("parent_priority").filter(ok_pa), 1), 0
+                pc.subtract(links.column("parent_priority").filter(ok), 1), 0
             ).cast(pa.int32()),
             "route": routes_mix,
             "doc_id": pc.binary_join_element_wise(
@@ -357,20 +370,14 @@ def admit_links(
             "partition",
             pa.array(
                 partition_of(
-                    hosts_ok,
+                    hosts,
                     n_partitions,
-                    url_hashes=hashes_ok,
+                    url_hashes=hashes,
                     salt_hosts=salt_hosts,
                     salt_k=salt_k,
                 )
             ),
         )
-    rejected = pa.table(
-        {
-            "url": urls.filter(pa.array(~ok)),
-            "error_type": pa.array([e for e in err if e], pa.string()),
-        }
-    )
     return accepted, rejected
 
 
@@ -526,34 +533,52 @@ def _split_by_partition(table: pa.Table, parts: np.ndarray, n: int) -> list[pa.T
     ]
 
 
+# the global fetch order, assigned at schedule time
+_FETCH_ORDER = [("fetch_time", "ascending"), ("priority", "descending"), ("seq", "ascending")]
+
+
 def _sort_grants(tables: list[pa.Table]) -> pa.Table:
     live = [t for t in tables if t.num_rows]
     if not live:
         return GRANT_SCHEMA.empty_table()
-    merged = pa.concat_tables(live)
-    return merged.sort_by(
-        [("fetch_time", "ascending"), ("priority", "descending"), ("seq", "ascending")]
-    )
+    return pa.concat_tables(live).sort_by(_FETCH_ORDER)
 
 
 # ---------------------------------------------------------------- shard sets
+#
+# Both shard sets step as ``step_refs(generations, horizon)`` then
+# ``collect(handle)`` → (popped, n_grants): a step delivers every due
+# link generation [(specs, ready_time)], then grants the epoch's fetches.
+
+
+def _shard_kwargs(cfg: CrawlConfig, robots) -> dict:
+    return dict(
+        capacity=cfg.shard_capacity,
+        seed=cfg.seed,
+        default_delay=cfg.default_delay,
+        burst=cfg.burst,
+        robots_texts=robots,
+        salt_hosts=cfg.salt_hosts,
+        salt_k=cfg.salt_k,
+    )
+
+
+def _sum_counters(per_shard) -> dict:
+    total: dict[str, int] = {}
+    for c in per_shard:
+        for k, v in c.items():
+            total[k] = total.get(k, 0) + v
+    return total
 
 
 class LocalShards:
-    """Sequential orchestration — the determinism reference."""
+    """Sequential orchestration — the determinism reference. The step
+    is deferred: ``collect`` runs it, so each epoch's offers and pop
+    happen in loop order, after the previous epoch is folded."""
 
     def __init__(self, cfg: CrawlConfig, robots: dict[str, str]):
         self.shards = [
-            FrontierShard(
-                p,
-                capacity=cfg.shard_capacity,
-                seed=cfg.seed,
-                default_delay=cfg.default_delay,
-                burst=cfg.burst,
-                robots_texts=robots,
-                salt_hosts=cfg.salt_hosts,
-                salt_k=cfg.salt_k,
-            )
+            FrontierShard(p, **_shard_kwargs(cfg, robots))
             for p in range(cfg.n_partitions)
         ]
 
@@ -569,17 +594,21 @@ class LocalShards:
     def pop_epoch(self, horizon: int) -> list[pa.Table]:
         return [s.pop_epoch(horizon) for s in self.shards]
 
+    def step_refs(self, generations: list[tuple], horizon: int) -> tuple:
+        return generations, horizon
+
+    def collect(self, handle: tuple) -> tuple[list[pa.Table], int]:
+        generations, horizon = handle
+        for specs, ready_time in generations:
+            self.offer_specs(specs, ready_time)
+        grants = self.pop_epoch(horizon)
+        return grants, sum(t.num_rows for t in grants)
+
     def min_ready(self) -> int | None:
-        vals = [s.min_ready() for s in self.shards]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
+        return min((v for v in (s.min_ready() for s in self.shards) if v is not None), default=None)
 
     def counters(self) -> dict:
-        total: dict[str, int] = {}
-        for s in self.shards:
-            for k, v in s.get_counters().items():
-                total[k] = total.get(k, 0) + v
-        return total
+        return _sum_counters(s.get_counters() for s in self.shards)
 
     def checkpoints(self) -> list[dict]:
         return [s.checkpoint() for s in self.shards]
@@ -590,26 +619,16 @@ class LocalShards:
 
 
 class RayShards:
-    """Actor-pool orchestration of the same shards."""
+    """Actor-pool orchestration of the same shards. A step is one
+    ``offer_and_pop`` round trip per shard; its grant tables stay in the
+    object store and only (grant_ref, key table) pairs come back."""
 
     def __init__(self, cfg: CrawlConfig, robots: dict[str, str]):
         import ray
 
         actor_cls = ray.remote(num_cpus=cfg.shard_num_cpus)(FrontierShard)
-        robots_ref = ray.put(robots)
-        self.actors = [
-            actor_cls.remote(
-                p,
-                capacity=cfg.shard_capacity,
-                seed=cfg.seed,
-                default_delay=cfg.default_delay,
-                burst=cfg.burst,
-                robots_texts=robots_ref,
-                salt_hosts=cfg.salt_hosts,
-                salt_k=cfg.salt_k,
-            )
-            for p in range(cfg.n_partitions)
-        ]
+        kwargs = _shard_kwargs(cfg, ray.put(robots))
+        self.actors = [actor_cls.remote(p, **kwargs) for p in range(cfg.n_partitions)]
         # actor processes spawn lazily at the first call — fire the
         # readiness probe now so they warm up while the driver builds
         # fetch state and admits the seed frontier
@@ -629,36 +648,24 @@ class RayShards:
         ]
         self._ray.get(refs)
 
-    def step(
-        self, specs: dict[int, list[tuple]], ready_time: int, horizon: int
-    ) -> list[tuple]:
-        """Single RPC round per shard per epoch: deliver the previous
-        epoch's candidates AND pop this epoch's grants."""
-        return self._ray.get(self.step_refs(specs, ready_time, horizon))
-
-    def step_refs(
-        self, specs: dict[int, list[tuple]], ready_time: int, horizon: int
-    ) -> list:
-        """Async step: fire the offer+pop round and return the refs —
-        the driver collects them AFTER the concurrent fetch finishes."""
+    def step_refs(self, generations: list[tuple], horizon: int) -> list:
         return [
-            a.offer_and_pop.remote(specs.get(p, []), ready_time, horizon)
+            a.offer_and_pop.remote(
+                [(specs[p], ready) for specs, ready in generations if p in specs], horizon
+            )
             for p, a in enumerate(self.actors)
         ]
 
-    def collect(self, refs: list) -> list[tuple]:
-        return self._ray.get(refs)
+    def collect(self, refs: list) -> tuple[list[tuple], int]:
+        popped = self._ray.get(refs)
+        return popped, sum(kt.num_rows for _, kt in popped)
 
     def min_ready(self) -> int | None:
-        vals = [v for v in self._ray.get([a.min_ready.remote() for a in self.actors]) if v is not None]
-        return min(vals) if vals else None
+        vals = self._ray.get([a.min_ready.remote() for a in self.actors])
+        return min((v for v in vals if v is not None), default=None)
 
     def counters(self) -> dict:
-        total: dict[str, int] = {}
-        for c in self._ray.get([a.get_counters.remote() for a in self.actors]):
-            for k, v in c.items():
-                total[k] = total.get(k, 0) + v
-        return total
+        return _sum_counters(self._ray.get([a.get_counters.remote() for a in self.actors]))
 
     def checkpoints(self) -> list[dict]:
         return self._ray.get([a.checkpoint.remote() for a in self.actors])
@@ -670,6 +677,13 @@ class RayShards:
 
 
 # ------------------------------------------------------------- fetch runners
+#
+# Both runners fetch as ``dispatch(popped, epoch)`` then ``collect(handle)``
+# → (log, [keys], [payload], rejected, n_spans, busy_s), over the one
+# fetch→convert→admit body ``_FetchWorker.fetch``. Two class attributes
+# say how the loop may use a runner: ``overlaps_fetch`` (an epoch may be
+# folded after the next epoch is dispatched) and ``fans_out_admission``
+# (seed admission runs as Ray tasks).
 
 _LOG_COLS = [
     "seq", "fetch_time", "priority", "url_canon", "host",
@@ -720,22 +734,26 @@ def _convert_and_write(
     return pc.sum(pc.list_value_length(converted.column("spans"))).as_py() or 0
 
 
-class LocalFetchRunner:
-    def __init__(self, docs: pa.Table, cfg: CrawlConfig, pages_dir: str | None = None):
-        self.fetcher = SimulatedFetcher(
-            SimulatedFetcher.build_state(docs),
-            link_universe=cfg.link_universe,
-            max_links=cfg.max_links,
-        )
-        self.url_filter = UrlFilter(list(cfg.allow), list(cfg.deny))
-        self.n_docs = docs.num_rows
-        self.pages_dir = pages_dir
-        self.cfg = cfg
-        self.spans_total = 0
+class _FetchWorker(SimulatedFetcher):
+    """Fetch state plus the fetch→convert→admit body of both runners:
+    fetches a grant chunk, writes its page rows straight to the
+    partitioned parquet sink, admits discovered links (canonicalize +
+    filter + IP policy — the driver never touches raw link URLs), and
+    returns only the small log/candidate columns."""
 
-    def __call__(self, grants: pa.Table, epoch: int):
-        result = self.fetcher(grants)
-        self.spans_total += _convert_and_write(result, epoch, 0, self.pages_dir)
+    def __init__(self, docs, cfg: CrawlConfig):
+        super().__init__(docs, link_universe=cfg.link_universe, max_links=cfg.max_links)
+        self.cfg = cfg
+        self.url_filter = UrlFilter(list(cfg.allow), list(cfg.deny))
+        self.log_cols = _LOG_COLS if cfg.detailed_logs else ["seq"]
+
+    def fetch(
+        self, grants: pa.Table, epoch: int, chunk: int, pages_dir: str | None
+    ) -> tuple:
+        """→ (log, keys, payload, rejected, n_spans, busy_s)."""
+        t0 = time.time()
+        result = self(grants)
+        n_spans = _convert_and_write(result, epoch, chunk, pages_dir)
         accepted, rejected = admit_links(
             _extract_links(result),
             self.url_filter,
@@ -746,51 +764,40 @@ class LocalFetchRunner:
         )
         keys = accepted.select(["parent_seq", "link_index", "partition"])
         payload = accepted.drop_columns(["partition"])
-        cols = _LOG_COLS if self.cfg.detailed_logs else ["seq"]
-        return result.select(cols), [keys], [payload], rejected
+        return result.select(self.log_cols), keys, payload, rejected, n_spans, time.time() - t0
 
 
-class _FetchWorker(SimulatedFetcher):
-    """Per-worker fetch state: fetches a chunk, writes its page rows
-    straight to the partitioned parquet sink, admits discovered links
-    in-worker (canonicalize + filter + IP policy — the driver never
-    touches raw link URLs), and returns only the small log/candidate
-    columns."""
+def _gather(parts: list[tuple]) -> tuple:
+    """One epoch's fetch output from its chunks' ``_FetchWorker.fetch``
+    tuples, in chunk order; ``busy_s`` is the summed worker-side wall."""
+    return (
+        pa.concat_tables([p[0] for p in parts]),
+        [p[1] for p in parts],
+        [p[2] for p in parts],
+        pa.concat_tables([p[3] for p in parts]),
+        sum(p[4] for p in parts),
+        sum(p[5] for p in parts),
+    )
 
-    def __init__(self, *args, allow=(), deny=(), n_partitions=0,
-                 detailed_logs=True, salt_hosts=(), salt_k=1, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.url_filter = UrlFilter(list(allow), list(deny))
-        self.n_partitions = n_partitions
-        self.log_cols = _LOG_COLS if detailed_logs else ["seq"]
-        self.salt_hosts = tuple(salt_hosts)
-        self.salt_k = int(salt_k)
 
-    def fetch(
-        self, batch: pa.Table, epoch: int, chunk: int, pages_dir: str | None
-    ) -> tuple:
-        import time as _t
+class LocalFetchRunner:
+    """In-process fetch stage. ``collect`` fetches the epoch's grants,
+    merged in (fetch_time, -priority, seq) order, as one chunk, so each
+    epoch writes one ``part-0000``."""
 
-        _w0 = _t.time()
-        result = self(batch)
-        n_spans = _convert_and_write(result, epoch, chunk, pages_dir)
-        accepted, rejected = admit_links(
-            _extract_links(result),
-            self.url_filter,
-            self.n_docs,
-            self.n_partitions,
-            salt_hosts=self.salt_hosts,
-            salt_k=self.salt_k,
-        )
-        # candidate payloads stay in the object store — only the small
-        # routing keys go back to the driver; shards pull the payload
-        # rows they own directly from plasma
-        import ray
+    overlaps_fetch = False
+    fans_out_admission = False
 
-        payload_ref = ray.put(accepted.drop_columns(["partition"]))
-        keys = accepted.select(["parent_seq", "link_index", "partition"])
-        busy = _t.time() - _w0
-        return result.select(self.log_cols), keys, payload_ref, rejected, n_spans, busy
+    def __init__(self, docs: pa.Table, cfg: CrawlConfig, pages_dir: str | None = None):
+        self.worker = _FetchWorker(SimulatedFetcher.build_state(docs), cfg)
+        self.pages_dir = pages_dir
+
+    def dispatch(self, popped: list[pa.Table], epoch: int) -> tuple:
+        return popped, epoch
+
+    def collect(self, handle: tuple) -> tuple:
+        popped, epoch = handle
+        return _gather([self.worker.fetch(_sort_grants(popped), epoch, 0, self.pages_dir)])
 
 
 # per-worker-process cache: fetch state reconstructed once per worker,
@@ -800,7 +807,7 @@ _FETCH_STATE_CACHE: dict[str, "_FetchWorker"] = {}
 
 
 def _fetch_task(state_box, grants: pa.Table, off: int, ln: int, epoch: int,
-                chunk: int, pages_dir: str | None, params: dict):
+                chunk: int, pages_dir: str | None, cfg: CrawlConfig):
     """Stateless fetch task: Ray schedules these dynamically across all
     free CPUs — no static chunk→actor assignment, so host-speed jitter
     and uneven epochs self-balance. ``state_box`` holds the state ref
@@ -811,9 +818,15 @@ def _fetch_task(state_box, grants: pa.Table, off: int, ln: int, epoch: int,
     worker = _FETCH_STATE_CACHE.get(key)
     if worker is None:
         _FETCH_STATE_CACHE.clear()  # one crawl's state per worker
-        worker = _FetchWorker(docs=ray.get(state_box[0]), **params)
+        worker = _FetchWorker(ray.get(state_box[0]), cfg)
         _FETCH_STATE_CACHE[key] = worker
-    return worker.fetch(grants.slice(off, ln), epoch, chunk, pages_dir)
+    log, keys, payload, rejected, n_spans, busy_s = worker.fetch(
+        grants.slice(off, ln), epoch, chunk, pages_dir
+    )
+    # candidate payloads stay in the object store — only the small
+    # routing keys go back to the driver; shards pull the payload
+    # rows they own directly from plasma
+    return log, keys, ray.put(payload), rejected, n_spans, busy_s
 
 
 class RayFetchRunner:
@@ -830,34 +843,26 @@ class RayFetchRunner:
     into outputs.
     """
 
+    overlaps_fetch = True
+    fans_out_admission = True
+
     def __init__(self, docs: pa.Table, cfg: CrawlConfig, pages_dir: str | None = None):
         import ray
 
         self.cfg = cfg
         self.pages_dir = pages_dir
         self._ray = ray
-        self.spans_total = 0
         # build (docs table + per-doc stats) ONCE, broadcast the result
         self.state_ref = ray.put(SimulatedFetcher.build_state(docs))
-        self.params = dict(
-            link_universe=cfg.link_universe,
-            max_links=cfg.max_links,
-            allow=tuple(cfg.allow),
-            deny=tuple(cfg.deny),
-            n_partitions=cfg.n_partitions,
-            detailed_logs=cfg.detailed_logs,
-            salt_hosts=tuple(cfg.salt_hosts),
-            salt_k=cfg.salt_k,
-        )
         self._task = ray.remote(num_cpus=cfg.fetch_num_cpus)(_fetch_task)
 
     def dispatch(self, popped: list[tuple], epoch: int) -> list:
         """``popped`` = [(grant_table_ref, key_table)] per shard, as
-        ``RayShards.step``/``collect`` return them. Chunks are (ref,
-        offset, length) triples — the driver never serializes grant
-        rows; workers resolve the ref plasma-locally and slice
-        zero-copy. Returns task refs; the caller overlaps other work
-        before ``collect``."""
+        ``RayShards.collect`` returns them. Chunks are (ref, offset,
+        length) triples — the driver never serializes grant rows;
+        workers resolve the ref plasma-locally and slice zero-copy.
+        Returns task refs; the caller overlaps other work before
+        ``collect``."""
         total = sum(kt.num_rows for _, kt in popped)
         # ~3 chunks per worker lets the dynamic scheduler absorb
         # stragglers in the small remainder epochs; the 1024 floor keeps
@@ -870,29 +875,19 @@ class RayFetchRunner:
             ),
         )
         refs = []
-        ci = 0
         for ref, kt in popped:
             n = kt.num_rows
             for off in range(0, n, size):
-                ln = min(size, n - off)
                 refs.append(
                     self._task.remote(
-                        [self.state_ref], ref, off, ln, epoch, ci,
-                        self.pages_dir, self.params,
+                        [self.state_ref], ref, off, min(size, n - off), epoch,
+                        len(refs), self.pages_dir, self.cfg,
                     )
                 )
-                ci += 1
         return refs
 
-    def collect(self, refs: list):
-        parts = self._ray.get(refs)
-        log = pa.concat_tables([p[0] for p in parts])
-        keys = [p[1] for p in parts]
-        payloads = [p[2] for p in parts]
-        rejected = pa.concat_tables([p[3] for p in parts])
-        self.spans_total += sum(p[4] for p in parts)
-        self.last_busy_s = sum(p[5] for p in parts)  # worker-side wall
-        return log, keys, payloads, rejected
+    def collect(self, refs: list) -> tuple:
+        return _gather(self._ray.get(refs))
 
 
 # ------------------------------------------------------------------ the loop
@@ -913,6 +908,93 @@ class CrawlResult:
     drain_s: float = 0.0  # post-loop delivery/checkpoint/log-assembly wall
 
 
+_REJECTED_SCHEMA = pa.schema([("url", pa.string()), ("error_type", pa.string())])
+
+
+def _resume_config(cfg: CrawlConfig, state: dict) -> CrawlConfig:
+    """The run's config over a loaded checkpoint: the checkpointed salt
+    decision is adopted, and a scheduling-critical mismatch is refused."""
+    saved = json.loads(state["driver"]["config"])
+    # a partition-count mismatch would silently zip-truncate the
+    # frontier (dropped seen-sets re-fetch; dropped heaps lose URLs) —
+    # refuse rather than resume from a different sharding
+    if len(state["shards"]) != cfg.n_partitions:
+        raise ValueError(
+            f"checkpoint has {len(state['shards'])} partitions but "
+            f"the run is configured with {cfg.n_partitions}; resume "
+            "with the checkpoint's n_partitions (state is sharded "
+            "by fnv64(url) % n_partitions and cannot re-shard here)"
+        )
+    # the salting (auto-decided or explicit) rides the checkpointed
+    # config — a resumed run MUST route identically to the original,
+    # whatever flags the resume command happened to set (gating adoption
+    # on cfg.auto_salt let a resume without the flag rebuild UNSALTED
+    # shards over salted seen-state — silent duplicate fetches +
+    # politeness collapse)
+    cfg = dataclasses.replace(
+        cfg,
+        salt_hosts=tuple(saved.get("salt_hosts", ())),
+        salt_k=int(saved.get("salt_k", 1)),
+    )
+    # scheduling-critical scalars must match the original run — a
+    # mismatch silently changes fetch ordering / politeness budgets over
+    # restored state, the same corruption class as the n_partitions
+    # refusal. Execution-detail knobs (fetch_concurrency, batch sizes,
+    # max_epochs/max_fetches extensions) stay free.
+    must_match = (
+        "seed", "epoch_width", "default_delay", "burst",
+        "link_universe", "max_links", "link_latency_epochs",
+    )
+    diff = [
+        f"{k}: checkpoint={saved.get(k)!r} run={getattr(cfg, k)!r}"
+        for k in must_match
+        if k in saved and saved.get(k) != getattr(cfg, k)
+    ]
+    if diff:
+        raise ValueError(
+            "resume config mismatch on scheduling-critical fields "
+            "(state restored under the checkpointed values; resume "
+            "with them or start a fresh run): " + "; ".join(diff)
+        )
+    return cfg
+
+
+def _link_specs(
+    key_tables: list[pa.Table], payloads: list, next_seq: int
+) -> dict[int, list[tuple]]:
+    """One epoch's accepted links → per-shard offer specs
+    ``{partition: [(payload, row_indices, seqs)]}``. Seqs are assigned
+    from ROUTING KEYS ONLY: links are ordered by (parent's
+    schedule-time seq, link position) regardless of which worker
+    produced them; the candidate payloads never transit the driver —
+    shards pull their rows straight from the workers' tables."""
+    def col(name: str) -> np.ndarray:
+        return np.concatenate(
+            [t.column(name).to_numpy(zero_copy_only=False) for t in key_tables]
+        )
+
+    parent, lidx, part = col("parent_seq"), col("link_index"), col("partition")
+    chunk_id = np.concatenate(
+        [np.full(t.num_rows, ci, dtype=np.int64) for ci, t in enumerate(key_tables)]
+    )
+    row_idx = np.concatenate([np.arange(t.num_rows, dtype=np.int64) for t in key_tables])
+    n = len(parent)
+    seqs = np.empty(n, dtype=np.int64)
+    seqs[np.lexsort((lidx, parent))] = np.arange(next_seq, next_seq + n, dtype=np.int64)
+    combo = part * len(payloads) + chunk_id
+    o2 = np.argsort(combo, kind="stable")
+    sc = combo[o2]
+    seg_starts = np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))
+    seg_ends = np.concatenate((seg_starts[1:], [len(sc)]))
+    specs: dict[int, list[tuple]] = {}
+    for a, b in zip(seg_starts, seg_ends):
+        ids = o2[a:b]
+        p = int(part[ids[0]])
+        c = int(chunk_id[ids[0]])
+        specs.setdefault(p, []).append((payloads[c], row_idx[ids], seqs[ids]))
+    return specs
+
+
 def run_crawl(
     frontier: pa.Table,
     docs: pa.Table,
@@ -924,69 +1006,41 @@ def run_crawl(
     resume: bool = False,
     log_sink: Callable[[pa.Table], None] | None = None,
 ) -> CrawlResult:
+    """Crawl epoch by epoch until the frontier is exhausted or
+    ``cfg.max_epochs``/``cfg.max_fetches`` is reached. ``mode`` picks
+    the (shard set, fetch runner) pair; the loop is the same for both."""
     from . import checkpoint as ckpt
 
-    import time as _time
-
-    _t_setup0 = _time.time()
+    t_setup0 = time.time()
+    shards_cls, runner_cls = (
+        (LocalShards, LocalFetchRunner) if mode == "local" else (RayShards, RayFetchRunner)
+    )
     url_filter = UrlFilter(list(cfg.allow), list(cfg.deny))
     # dispatch seed admission BEFORE building shard actors and fetch
     # state: the admission tasks chew the raw URL list (and warm the
     # worker processes) while the driver constructs everything else
-    _admit_handle = (
-        admit_seed_frontier_async(frontier, url_filter, parallel=(mode == "ray"))
+    admit_handle = (
+        admit_seed_frontier_async(
+            frontier, url_filter, parallel=runner_cls.fans_out_admission
+        )
         if not resume
         else None
     )
-    _seed_admitted: tuple | None = None
-    state = None
+    seed_admitted: tuple | None = None
     if resume:
+        # loaded before shard construction: the salt config must be
+        # adopted first so the shards' politeness budgets and the
+        # routing agree with the original run
         state = ckpt.load_latest(checkpoint_dir)
-        saved = json.loads(state["driver"]["config"])
-        # the salting (auto-decided or explicit) rides the checkpointed
-        # config — a resumed run MUST route identically to the
-        # original, whatever flags the resume command happened to set
-        # (review-found: gating adoption on cfg.auto_salt let a resume
-        # without the flag rebuild UNSALTED shards over salted
-        # seen-state — silent duplicate fetches + politeness collapse)
-        cfg = dataclasses.replace(
-            cfg,
-            salt_hosts=tuple(saved.get("salt_hosts", ())),
-            salt_k=int(saved.get("salt_k", 1)),
-        )
-        # scheduling-critical scalars must match the original run — a
-        # mismatch silently changes fetch ordering / politeness budgets
-        # over restored state, the same corruption class as the
-        # n_partitions refusal below. Execution-detail knobs
-        # (fetch_concurrency, batch sizes, max_epochs/max_fetches
-        # extensions) stay free.
-        _must_match = (
-            "seed", "epoch_width", "default_delay", "burst",
-            "link_universe", "max_links", "link_latency_epochs",
-        )
-        _diff = [
-            f"{k}: checkpoint={saved.get(k)!r} run={getattr(cfg, k)!r}"
-            for k in _must_match
-            if k in saved and saved.get(k) != getattr(cfg, k)
-        ]
-        if _diff:
-            raise ValueError(
-                "resume config mismatch on scheduling-critical fields "
-                "(state restored under the checkpointed values; resume "
-                "with them or start a fresh run): " + "; ".join(_diff)
-            )
+        cfg = _resume_config(cfg, state)
     elif cfg.auto_salt:
         # the salt decision needs the admitted seed hosts, so collect
         # admission before shard construction (auto mode trades a
         # little setup overlap for the observed-host histogram)
-        _seed_admitted = admit_seed_frontier_collect(_admit_handle)
-        cfg = resolve_auto_salt(cfg, _seed_admitted[0])
-    shards = LocalShards(cfg, robots) if mode == "local" else RayShards(cfg, robots)
-    runner = (
-        LocalFetchRunner(docs, cfg, pages_dir)
-        if mode == "local"
-        else RayFetchRunner(docs, cfg, pages_dir)
-    )
+        seed_admitted = admit_seed_frontier_collect(admit_handle)
+        cfg = resolve_auto_salt(cfg, seed_admitted[0])
+    shards = shards_cls(cfg, robots)
+    runner = runner_cls(docs, cfg, pages_dir)
     W = cfg.epoch_width
 
     # Fetch-log routing: an explicit log_sink wins; otherwise a crawl
@@ -998,6 +1052,7 @@ def run_crawl(
     # is read back as one hive-partitioned dataset (epoch=NNNNNN/ dirs),
     # and log files carry an int64 ``epoch`` column that would collide
     # with the string partition field during schema unification.
+    logs: list[pa.Table] = []
     fetch_log_dir: str | None = None
     if log_sink is None and pages_dir is not None and cfg.detailed_logs:
         fetch_log_dir = pages_dir.rstrip("/") + "_fetch_log"
@@ -1007,27 +1062,15 @@ def run_crawl(
             epoch_val = t.column("epoch")[0].as_py() if t.num_rows else 0
             pq.write_table(t, os.path.join(_d, f"epoch={epoch_val:06d}.parquet"))
 
-    logs: list[pa.Table] = []
+    log_sink = log_sink or logs.append
+
     rejected_parts: list[pa.Table] = []
     if resume:
-        # (state was loaded before shard construction — the salt config
-        # had to be adopted first so the shards' politeness budgets and
-        # the routing below agree with the original run)
-        # a partition-count mismatch would silently zip-truncate the
-        # frontier (dropped seen-sets re-fetch; dropped heaps lose
-        # URLs) — refuse rather than resume from a different sharding
-        if len(state["shards"]) != cfg.n_partitions:
-            raise ValueError(
-                f"checkpoint has {len(state['shards'])} partitions but "
-                f"the run is configured with {cfg.n_partitions}; resume "
-                "with the checkpoint's n_partitions (state is sharded "
-                "by fnv64(url) % n_partitions and cannot re-shard here)"
-            )
         shards.restore(state["shards"])
-        k = state["driver"]["epoch"]
-        next_seq = state["driver"]["next_seq"]
-        fetch_seq = state["driver"]["fetch_seq"]
-        epochs_done = state["driver"]["epochs_done"]
+        drv = state["driver"]
+        k, next_seq, fetch_seq, epochs_done = (
+            drv["epoch"], drv["next_seq"], drv["fetch_seq"], drv["epochs_done"]
+        )
     else:
         # seed admission is a pure function of (rows, filter). Raw seed
         # lists are messy (mixed case, ports, fragments), so most rows
@@ -1039,11 +1082,12 @@ def run_crawl(
         # measurement. Ordered concat keeps the result identical to the
         # sequential reference (determinism parity by construction).
         accepted, rejected = (
-            _seed_admitted
-            if _seed_admitted is not None  # auto-salt collected early
-            else admit_seed_frontier_collect(_admit_handle)
+            seed_admitted
+            if seed_admitted is not None  # auto-salt collected early
+            else admit_seed_frontier_collect(admit_handle)
         )
-        rejected_parts.append(rejected)
+        if rejected.num_rows:
+            rejected_parts.append(rejected)
         parts = partition_of(
             accepted.column("host").combine_chunks(),
             cfg.n_partitions,
@@ -1064,110 +1108,62 @@ def run_crawl(
     pending: list[tuple[dict, int]] = []
     L = max(1, int(cfg.link_latency_epochs))
 
-    def _deliver_due(h: int) -> None:
+    def _take_due(h: int) -> list[tuple[dict, int]]:
         due = [e for e in pending if e[1] <= h]
-        for e in due:
-            pending.remove(e)
-            shards.offer_specs(e[0], e[1])
+        pending[:] = [e for e in pending if e[1] > h]
+        return due
 
     def _deliver_all() -> None:
         for specs_e, ready_e in pending:
             shards.offer_specs(specs_e, ready_e)
         pending.clear()
 
-    epoch_metrics = EpochMetrics()
-    _setup_s = _time.time() - _t_setup0
-    popped = None  # ray: [(grant_ref, keys)] for epoch k; local: grant table
-    step_refs = None  # in-flight pipelined step (ray only)
-    # the in-flight FETCH epoch (ray only, at most one): it is collected
-    # only after the next epoch's chunks are dispatched, so its
-    # straggler tail hides under the next epoch's execution. Folds
-    # happen in epoch order, so outputs are unchanged. Disabled for
-    # checkpointed runs — a snapshot must never race a
-    # dispatched-but-uncollected epoch.
-    inflight: list[tuple] = []  # [(fetch_refs, k_f, n_grants_f, t_pop_f, t_fetch_f)]
-    overlap_fetch = (
-        mode == "ray" and not (checkpoint_dir and cfg.checkpoint_every)
-    )
+    every = cfg.checkpoint_every if checkpoint_dir else 0  # epochs per snapshot
 
-    def _finish_epoch(source, k_f, n_grants_f, t_pop_f, t_fetch_f) -> None:
-        """Collect one epoch's fetch results and fold them into logs,
-        link-candidate specs, metrics, and counters. ``source`` is the
-        Ray fetch-ref list, or (local mode) a zero-arg callable
-        producing the already-collected tuple — ONE fold path for both
-        modes, so the deterministic seq-assignment / spec-segmentation
-        logic cannot diverge between them."""
-        nonlocal fetch_seq, next_seq, epochs_done
-        _spans_before = getattr(runner, "spans_total", 0)
-        if callable(source):
-            log, key_tables, payloads, links_rejected = source()
-        else:
-            log, key_tables, payloads, links_rejected = runner.collect(source)
-        _t_route = _time.time()
+    def _budget_left(n_epochs: int, n_fetches: int) -> bool:
+        return n_epochs < cfg.max_epochs and (
+            cfg.max_fetches is None or n_fetches < cfg.max_fetches
+        )
+
+    epoch_metrics = EpochMetrics()
+    spans_total = 0
+    setup_s = time.time() - t_setup0
+    step = None  # a shard step issued ahead, under the previous epoch's fetch
+    # fetched epochs not yet folded (at most one): with a runner that
+    # overlaps fetch, an epoch is folded only after the next epoch's
+    # chunks are dispatched, so its straggler tail hides under the next
+    # epoch's execution. Folds happen in epoch order, so outputs are
+    # unchanged. Off for checkpointed runs — a snapshot must never race
+    # a dispatched-but-unfolded epoch.
+    inflight: list[tuple] = []  # [(handle, k_f, n_grants_f, t_pop_f, t_fetch_f)]
+    overlap_fetch = runner.overlaps_fetch and not every
+
+    def _finish_epoch(handle, k_f, n_grants_f, t_pop_f, t_fetch_f) -> None:
+        """Collect one epoch's fetch and fold it into logs, link
+        specs, metrics and counters — the deterministic seq assignment
+        and spec segmentation have one path for both runners."""
+        nonlocal fetch_seq, next_seq, epochs_done, spans_total
+        log, key_tables, payloads, links_rejected, n_spans, busy_s = runner.collect(handle)
+        t_route = time.time()
         if links_rejected.num_rows:
             rejected_parts.append(links_rejected)
         if cfg.detailed_logs:
             # runner output order can be arbitrary (Ray) → re-sort by
             # the schedule-time key for the deterministic global order
-            log = log.sort_by(
-                [
-                    ("fetch_time", "ascending"),
-                    ("priority", "descending"),
-                    ("seq", "ascending"),
-                ]
-            )
+            log = log.sort_by(_FETCH_ORDER)
             log = log.add_column(
                 0, "fetch_seq", pa.array(np.arange(fetch_seq, fetch_seq + log.num_rows))
             )
             log = log.append_column("epoch", pa.array(np.full(log.num_rows, k_f)))
-            fetch_seq += log.num_rows
-            if log_sink is not None:
-                log_sink(log)
-            else:
-                logs.append(log)
-        else:
-            fetch_seq += log.num_rows
-
+            log_sink(log)
+        fetch_seq += log.num_rows
         n_links = sum(t.num_rows for t in key_tables)
         if n_links:
-            # deterministic seq assignment from ROUTING KEYS ONLY: links
-            # are ordered by (parent's schedule-time seq, link position)
-            # regardless of which worker produced them; the candidate
-            # payloads never transit the driver — shards pull their rows
-            # straight from the workers' object-store tables.
-            parent = np.concatenate(
-                [t.column("parent_seq").to_numpy(zero_copy_only=False) for t in key_tables]
-            )
-            lidx = np.concatenate(
-                [t.column("link_index").to_numpy(zero_copy_only=False) for t in key_tables]
-            )
-            part = np.concatenate(
-                [t.column("partition").to_numpy(zero_copy_only=False) for t in key_tables]
-            )
-            chunk_id = np.concatenate(
-                [np.full(t.num_rows, ci, dtype=np.int64) for ci, t in enumerate(key_tables)]
-            )
-            row_idx = np.concatenate(
-                [np.arange(t.num_rows, dtype=np.int64) for t in key_tables]
-            )
-            order = np.lexsort((lidx, parent))
-            seqs = np.empty(n_links, dtype=np.int64)
-            seqs[order] = np.arange(next_seq, next_seq + n_links, dtype=np.int64)
-            next_seq += n_links
-            combo = part * len(payloads) + chunk_id
-            o2 = np.argsort(combo, kind="stable")
-            sc = combo[o2]
-            seg_starts = np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))
-            seg_ends = np.concatenate((seg_starts[1:], [len(sc)]))
-            specs: dict[int, list[tuple]] = {}
-            for a, b in zip(seg_starts, seg_ends):
-                ids = o2[a:b]
-                p = int(part[ids[0]])
-                c = int(chunk_id[ids[0]])
-                specs.setdefault(p, []).append((payloads[c], row_idx[ids], seqs[ids]))
             # deferred: generation k becomes grantable at epoch k+L and
-            # is delivered inside the step round trip for that epoch
-            pending.append((specs, (k_f + L) * W))
+            # is delivered inside the step for that epoch
+            pending.append((_link_specs(key_tables, payloads, next_seq), (k_f + L) * W))
+            next_seq += n_links
+        spans_total += n_spans
         epoch_metrics.record(
             epoch=k_f,
             grants=n_grants_f,
@@ -1178,13 +1174,13 @@ def run_crawl(
             ),
             links_offered=n_links,
             links_rejected=links_rejected.num_rows,
-            spans_out=getattr(runner, "spans_total", 0) - _spans_before,
+            spans_out=n_spans,
             pop_s=round(t_fetch_f - t_pop_f, 4),
             # with overlap this window includes the next epoch's pop +
             # dispatch; busy_s carries the true per-epoch work signal
-            fetch_s=round(_t_route - t_fetch_f, 4),
-            busy_s=round(getattr(runner, "last_busy_s", 0.0), 4),
-            route_s=round(_time.time() - _t_route, 4),
+            fetch_s=round(t_route - t_fetch_f, 4),
+            busy_s=round(busy_s, 4),
+            route_s=round(time.time() - t_route, 4),
         )
         epochs_done += 1
 
@@ -1192,122 +1188,8 @@ def run_crawl(
         while inflight:
             _finish_epoch(*inflight.pop(0))
 
-    while (epochs_done + len(inflight)) < cfg.max_epochs and (
-        cfg.max_fetches is None
-        or fetch_seq + sum(e[2] for e in inflight) < cfg.max_fetches
-    ):
-        horizon = (k + 1) * W - 1
-        _t_pop = _time.time()
-        if step_refs is not None:
-            # pipelined: the step ran concurrently with last epoch's fetch
-            popped = shards.collect(step_refs)
-            step_refs = None
-            n_grants = sum(kt.num_rows for _, kt in popped)
-        else:
-            # sync step path needs every discovered link delivered first
-            _flush_inflight()
-            _deliver_due(horizon)
-            if mode == "ray":
-                popped = shards.step({}, 0, horizon)
-                n_grants = sum(kt.num_rows for _, kt in popped)
-            else:
-                popped = _sort_grants(shards.pop_epoch(horizon))
-                n_grants = popped.num_rows
-        if n_grants == 0:
-            _flush_inflight()
-            _deliver_all()
-            mr = shards.min_ready()
-            if mr is None:
-                break  # frontier exhausted
-            k = mr // W
-            popped = None
-            continue
-        _t_fetch = _time.time()
-        _spans_before = getattr(runner, "spans_total", 0)
-        if pages_dir is not None:
-            # clear stale part files before this epoch's chunks write:
-            # a killed run may have left parts from a DIFFERENT chunking
-            # of the same epoch (fetch_concurrency is an execution
-            # detail a resume may change), and read_parquet over the
-            # hive layout would otherwise return those rows twice
-            _ed = f"{pages_dir}/epoch={k:06d}"
-            if os.path.isdir(_ed):
-                for _f in os.listdir(_ed):
-                    if _f.startswith("part-") and _f.endswith(".parquet"):
-                        os.unlink(os.path.join(_ed, _f))
-        if mode == "ray":
-            fetch_refs = runner.dispatch(popped, k)
-            # the previous epoch ran under this epoch's pop and
-            # dispatch; fold it now so its links land before the next
-            # step is issued (L ≥ 2 puts every generation due by that
-            # step's horizon at or before the previous epoch)
-            _flush_inflight()
-            # issue epoch k+1's step while the fetch runs — exact exit
-            # prediction (fetch_seq grows by exactly this epoch's
-            # grants) so a step never fires for an epoch the loop won't
-            # reach
-            will_continue = (epochs_done + 1 < cfg.max_epochs) and (
-                cfg.max_fetches is None
-                or fetch_seq + n_grants < cfg.max_fetches
-            )
-            # never pipeline into a checkpoint epoch: the snapshot at the
-            # end of THIS epoch must not miss grants a concurrent step
-            # already popped
-            will_checkpoint = bool(
-                checkpoint_dir
-                and cfg.checkpoint_every
-                and (epochs_done + 1) % cfg.checkpoint_every == 0
-            )
-            if L >= 2 and will_continue and not will_checkpoint:
-                nh = (k + 2) * W - 1
-                due = [e for e in pending if e[1] <= nh]
-                for e in due:
-                    pending.remove(e)
-                specs_d = due[0][0] if due else {}
-                ready_d = due[0][1] if due else 0
-                for extra_specs, extra_ready in due[1:]:  # post-jump merge
-                    shards.offer_specs(extra_specs, extra_ready)
-                step_refs = shards.step_refs(specs_d, ready_d, nh)
-            if overlap_fetch:
-                inflight.append((fetch_refs, k, n_grants, _t_pop, _t_fetch))
-            else:
-                _finish_epoch(fetch_refs, k, n_grants, _t_pop, _t_fetch)
-            k += 1
-        else:
-            _popped = popped
-            popped = None
-            _finish_epoch(
-                lambda: runner(_popped, k), k, n_grants, _t_pop, _t_fetch
-            )
-            k += 1
-        if (
-            checkpoint_dir
-            and cfg.checkpoint_every
-            and epochs_done % cfg.checkpoint_every == 0
-        ):
-            # (a pipelined step is never in flight here — the dispatch
-            # predicate above skips pipelining into a checkpoint epoch,
-            # so the snapshot can't lose popped-but-unfetched grants;
-            # fetch overlap is disabled for checkpointed runs entirely)
-            assert step_refs is None and not inflight
-            _deliver_all()  # undelivered links are frontier state
-            ckpt.write(
-                checkpoint_dir,
-                shards.checkpoints(),
-                {
-                    "epoch": k,
-                    "next_seq": next_seq,
-                    "fetch_seq": fetch_seq,
-                    "epochs_done": epochs_done,
-                    "config": cfg.to_json(),
-                },
-                metrics=epoch_metrics.to_table(),
-            )
-
-    _flush_inflight()
-    _t_drain0 = _time.time()
-    _deliver_all()  # loop exited with undelivered links
-    if checkpoint_dir:
+    def _snapshot() -> None:
+        _deliver_all()  # undelivered links are frontier state
         ckpt.write(
             checkpoint_dir,
             shards.checkpoints(),
@@ -1320,24 +1202,82 @@ def run_crawl(
             },
             metrics=epoch_metrics.to_table(),
         )
-    fetch_log = (
-        pa.concat_tables(logs) if logs else LOG_SCHEMA.empty_table()
-    )
-    rejected = (
-        pa.concat_tables([r for r in rejected_parts if r.num_rows])
-        if any(r.num_rows for r in rejected_parts)
-        else rejected_parts[0] if rejected_parts else pa.table({"url": pa.array([], pa.string()), "error_type": pa.array([], pa.string())})
-    )
+
+    while _budget_left(epochs_done + len(inflight), fetch_seq + sum(e[2] for e in inflight)):
+        horizon = (k + 1) * W - 1
+        t_pop = time.time()
+        if step is None:
+            # an unpipelined step needs every discovered link delivered
+            _flush_inflight()
+            step = shards.step_refs(_take_due(horizon), horizon)
+        popped, n_grants = shards.collect(step)
+        step = None
+        if n_grants == 0:
+            _flush_inflight()
+            _deliver_all()
+            mr = shards.min_ready()
+            if mr is None:
+                break  # frontier exhausted
+            k = mr // W
+            continue
+        t_fetch = time.time()
+        if pages_dir is not None:
+            # clear stale part files before this epoch's chunks write:
+            # a killed run may have left parts from a DIFFERENT chunking
+            # of the same epoch (fetch_concurrency is an execution
+            # detail a resume may change), and read_parquet over the
+            # hive layout would otherwise return those rows twice
+            ed = f"{pages_dir}/epoch={k:06d}"
+            if os.path.isdir(ed):
+                for f in os.listdir(ed):
+                    if f.startswith("part-") and f.endswith(".parquet"):
+                        os.unlink(os.path.join(ed, f))
+        handle = runner.dispatch(popped, k)
+        # the previous epoch ran under this epoch's step and dispatch;
+        # fold it now so its links land before the next step is issued
+        # (L ≥ 2 puts every generation due by that step's horizon at or
+        # before the previous epoch)
+        _flush_inflight()
+        # issue epoch k+1's step to run under this epoch's fetch (a
+        # deferred local step runs at its collect, after this epoch is
+        # folded). Exact exit prediction (fetch_seq grows by exactly
+        # this epoch's grants), so a step never fires for an epoch the
+        # loop won't reach; never into a checkpoint epoch, whose
+        # snapshot must not miss grants a step already popped.
+        will_continue = _budget_left(epochs_done + 1, fetch_seq + n_grants)
+        will_checkpoint = every and (epochs_done + 1) % every == 0
+        if L >= 2 and will_continue and not will_checkpoint:
+            nh = (k + 2) * W - 1
+            step = shards.step_refs(_take_due(nh), nh)
+        if overlap_fetch:
+            inflight.append((handle, k, n_grants, t_pop, t_fetch))
+        else:
+            _finish_epoch(handle, k, n_grants, t_pop, t_fetch)
+        k += 1
+        if every and epochs_done % every == 0:
+            assert step is None and not inflight
+            _snapshot()
+
+    _flush_inflight()
+    t_drain0 = time.time()
+    # the loop exited with undelivered links: the final snapshot, or
+    # the counters alone, must see them offered
+    if checkpoint_dir:
+        _snapshot()
+    else:
+        _deliver_all()
     return CrawlResult(
-        fetch_log=fetch_log,
+        fetch_log=pa.concat_tables(logs) if logs else LOG_SCHEMA.empty_table(),
         counters=shards.counters(),
-        rejected=rejected,
+        rejected=(
+            pa.concat_tables(rejected_parts) if rejected_parts else _REJECTED_SCHEMA.empty_table()
+        ),
         epochs=epochs_done,
         next_seq=next_seq,
         fetch_seq=fetch_seq,
-        spans_total=getattr(runner, "spans_total", 0),
+        spans_total=spans_total,
         metrics=epoch_metrics.to_table(),
         fetch_log_dir=fetch_log_dir,
-        setup_s=round(_setup_s, 3),
-        drain_s=round(_time.time() - _t_drain0, 3),
+        setup_s=round(setup_s, 3),
+        drain_s=round(time.time() - t_drain0, 3),
     )

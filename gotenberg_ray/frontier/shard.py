@@ -325,7 +325,7 @@ class FrontierShard:
         if n == 0:
             return GRANT_SCHEMA.empty_table()
         payload = self._gather_payload(seq)
-        hosts_l = payload.column("host").to_pylist()
+        hosts_l = payload.column("host").to_numpy(zero_copy_only=False).tolist()
         ensure = self.buckets._ensure
         slots = np.empty(n, dtype=np.int64)
         granted = np.zeros(n, dtype=bool)
@@ -380,24 +380,18 @@ class FrontierShard:
         ]
         return pa.Table.from_arrays(arrays, schema=GRANT_SCHEMA)
 
-    def pop_epoch_ref(self, horizon: int):
-        """pop_epoch, but the grant table goes to the object store and
-        only (ref, key columns) return — grant payloads never transit
-        the driver. Requires a ray runtime (used via the actor path)."""
+    def offer_and_pop(self, generations: list[tuple], horizon: int):
+        """The actor's one round trip per epoch: deliver every due link
+        generation ``[(parts, ready_time)]``, grant this epoch's
+        fetches, and put the grant table in the object store — only
+        (ref, key columns) return, so grant payloads never transit the
+        driver. Requires a ray runtime (used via the actor path)."""
         import ray
 
-        grants = self.pop_epoch(horizon)
-        keys = grants.select(["seq", "fetch_time", "priority"])
-        return ray.put(grants), keys
-
-    def offer_and_pop(
-        self, parts: list[tuple], ready_time: int, horizon: int
-    ):
-        """One round trip per epoch: deliver the previous epoch's link
-        candidates, then grant this epoch's fetches."""
-        if parts:
+        for parts, ready_time in generations:
             self.offer_assembled(parts, ready_time)
-        return self.pop_epoch_ref(horizon)
+        grants = self.pop_epoch(horizon)
+        return ray.put(grants), grants.select(["seq", "fetch_time", "priority"])
 
     def min_ready(self) -> int | None:
         self.flush()

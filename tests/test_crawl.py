@@ -625,6 +625,128 @@ def test_resume_clears_stale_epoch_parts(small_world, tmp_path):
     assert n_resumed == n_full, "stale planted part must be cleared"
 
 
+# A crawl child that SIGKILLs itself at a deterministic point:
+# argv = world pickle, checkpoint dir, pages dir, point, n. Point
+# "fetch" dies inside the nth SimulatedFetcher call (mid-epoch: the
+# epoch's pages, log and links are not written yet); point "snapshot"
+# dies right after the first shard file of the nth fresh snapshot is
+# written (mid-checkpoint-write: no _COMPLETE marker).
+_KILLED_CRAWL = """
+import os, pickle, signal, sys
+
+import pyarrow.parquet as pq
+
+from gotenberg_ray.frontier.crawler import run_crawl
+from gotenberg_ray.stages.fetcher import SimulatedFetcher
+
+world, ck, pages, point, n = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], int(sys.argv[5])
+hits = []
+
+
+def sigkill_on_nth(owner, attr, counts):
+    orig = getattr(owner, attr)
+
+    def hooked(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        if counts(*args):
+            hits.append(1)
+            if len(hits) == n:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return out
+
+    setattr(owner, attr, hooked)
+
+
+if point == "fetch":
+    sigkill_on_nth(SimulatedFetcher, "__call__", lambda *a: True)
+else:
+    sigkill_on_nth(
+        pq, "write_table",
+        lambda table, path, *a: os.path.basename(path) == "shard_0000.parquet"
+        and os.path.basename(os.path.dirname(path)).startswith("epoch="),
+    )
+with open(world, "rb") as f:
+    frontier, docs, robots, cfg = pickle.load(f)
+run_crawl(frontier, docs, robots, cfg, mode="local", checkpoint_dir=ck, pages_dir=pages)
+sys.exit(3)  # the kill point was never reached
+"""
+
+
+def _parquet_files(root):
+    import os
+
+    import pyarrow.parquet as pq
+
+    return {
+        os.path.relpath(os.path.join(d, f), root): pq.read_table(os.path.join(d, f))
+        for d, _, fs in sorted(os.walk(root))
+        for f in sorted(fs)
+    }
+
+
+def _sigkill_then_resume(small_world, tmp_path, point, n):
+    """Crawl uninterrupted in-process; crawl in a child that SIGKILLs
+    itself at ``point``; resume the child's crawl in-process. The two
+    must end on the same checkpoint digest, counters, fetch log (read
+    back from ``<pages>_fetch_log/``) and page-part rows."""
+    import dataclasses
+    import os
+    import pickle
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    docs, frontier, robots, cfg = small_world
+    cfg = dataclasses.replace(cfg, checkpoint_every=1)
+    full_ck, full_pages = str(tmp_path / "full_ck"), str(tmp_path / "full_pages")
+    full = run_crawl(
+        frontier, docs, robots, cfg, mode="local",
+        checkpoint_dir=full_ck, pages_dir=full_pages,
+    )
+    world = tmp_path / "world.pkl"
+    world.write_bytes(pickle.dumps((frontier, docs, robots, cfg)))
+    ck, pages = str(tmp_path / "ck"), str(tmp_path / "pages")
+    child = subprocess.run(
+        [sys.executable, "-c", _KILLED_CRAWL, str(world), ck, pages, point, str(n)],
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True,
+        timeout=600,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr.decode()[-2000:]
+    # one fetch and one snapshot per granted epoch: the newest complete
+    # snapshot is the cut before the killed epoch or snapshot
+    assert ckpt.load_latest(ck)["driver"]["epochs_done"] == n - 1
+    torn = [
+        e for e in os.listdir(ck)
+        if not os.path.exists(os.path.join(ck, e, "_COMPLETE"))
+    ]
+    assert len(torn) == (point == "snapshot")
+
+    resumed = run_crawl(
+        frontier, docs, robots, cfg, mode="local",
+        checkpoint_dir=ck, pages_dir=pages, resume=True,
+    )
+    assert ckpt.checkpoint_digest(ckpt.latest_epoch_dir(ck)) == ckpt.checkpoint_digest(
+        ckpt.latest_epoch_dir(full_ck)
+    )
+    assert resumed.counters == full.counters
+    assert (resumed.epochs, resumed.fetch_seq) == (full.epochs, full.fetch_seq)
+    for ours, theirs in ((pages + "_fetch_log", full_pages + "_fetch_log"), (pages, full_pages)):
+        got, want = _parquet_files(ours), _parquet_files(theirs)
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name].equals(want[name]), name
+
+
+def test_sigkill_mid_epoch_resumes_bit_identically(small_world, tmp_path):
+    _sigkill_then_resume(small_world, tmp_path, "fetch", 5)
+
+
+def test_sigkill_mid_checkpoint_write_resumes_bit_identically(small_world, tmp_path):
+    _sigkill_then_resume(small_world, tmp_path, "snapshot", 4)
+
+
 def test_fetcher_null_options_take_default_fail_predicate():
     """A null options_json row must apply the DEFAULT failOnHttpStatus
     predicate like the scalar contract (review-found: null dictionary

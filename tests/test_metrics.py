@@ -19,6 +19,9 @@ def test_epoch_metrics_recorded_and_checkpointed(tmp_path):
     assert m.num_rows == res.epochs
     assert m.column("grants").to_pylist() and sum(m.column("grants").to_pylist()) == res.fetch_seq
     assert all(s >= 0 for s in m.column("fetch_s").to_pylist())
+    # worker-side fetch→convert→admit wall, recorded in local mode too
+    busy = zip(m.column("grants").to_pylist(), m.column("busy_s").to_pylist())
+    assert all(b > 0 for g, b in busy if g)
     # metrics file lands next to shard checkpoints but is NOT in the digest
     ep = ckpt.latest_epoch_dir(d)
     assert os.path.exists(os.path.join(ep, "metrics.parquet"))
