@@ -88,9 +88,9 @@ def write(
 ) -> str:
     """Atomic snapshot write. A FRESH epoch dir writes in place with
     ``_COMPLETE`` last (a kill mid-write leaves no marker). RE-writing
-    an epoch that already carries a marker (the final post-drain write
-    when the virtual epoch didn't advance) must not tear the existing
-    valid snapshot: the new state lands in a ``_tmp-`` dir (invisible
+    an epoch that already carries a marker (a fresh run into a
+    directory that holds an earlier run's snapshots) must not tear the
+    existing valid snapshot: the new state lands in a ``_tmp-`` dir (invisible
     to resume), the old dir renames away, the tmp renames in, and the
     old dir is removed — a kill anywhere leaves either the old or the
     new CONSISTENT snapshot discoverable (worst case: neither, and

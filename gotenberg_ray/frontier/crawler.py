@@ -219,12 +219,6 @@ class CrawlConfig:
     # decision is made once per run and rides the checkpointed config —
     # see resolve_auto_salt for why it must never change mid-run.
     auto_salt: bool = False
-    # hot bar in fair-share (n/P) units: any host above ONE fair share
-    # cannot be balanced by hashing alone; 1.5 leaves headroom so
-    # ordinary skew doesn't salt every slightly-popular host. (The
-    # join layer's detect_hot_keys uses 4× because a join partition
-    # tolerates more imbalance than a politeness-bound crawl shard.)
-    auto_salt_factor: float = 1.5
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -465,11 +459,19 @@ def partition_of(
     return (h % np.uint64(n_partitions)).astype(np.int64)
 
 
+# hot bar in fair-share (n/P) units: any host above ONE fair share
+# cannot be balanced by hashing alone; 1.5 leaves headroom so
+# ordinary skew doesn't salt every slightly-popular host. (The
+# join layer's detect_hot_keys uses 4× because a join partition
+# tolerates more imbalance than a politeness-bound crawl shard.)
+AUTO_SALT_FACTOR = 1.5
+
+
 def resolve_auto_salt(cfg: CrawlConfig, accepted: pa.Table) -> CrawlConfig:
     """Hot-host auto-salting (SURVEY §4.2 row 3, "k chosen from
     observed depth"): one Misra–Gries pass over the ADMITTED seed
     frontier's hosts; a host whose lower-bound count exceeds
-    ``auto_salt_factor ×`` the fair per-shard share (n/P) joins
+    ``AUTO_SALT_FACTOR ×`` the fair per-shard share (n/P) joins
     ``salt_hosts``, and ``salt_k`` is the observed depth —
     ⌈hottest count / fair share⌉, capped at P.
 
@@ -501,7 +503,7 @@ def resolve_auto_salt(cfg: CrawlConfig, accepted: pa.Table) -> CrawlConfig:
         g["c"].to_numpy(zero_copy_only=False),
     )
     fair = n / cfg.n_partitions
-    thresh = cfg.auto_salt_factor * fair
+    thresh = AUTO_SALT_FACTOR * fair
     hot = [
         (str(k), int(c)) for k, c in zip(mg.keys, mg.counts) if c >= thresh
     ]
@@ -1188,7 +1190,14 @@ def run_crawl(
         while inflight:
             _finish_epoch(*inflight.pop(0))
 
+    # the epoch of the snapshot the state was last written to or loaded
+    # from. k never goes back, and once nothing is pending an iteration
+    # that pops, grants or re-keys anything moves it on; the one that
+    # finds the frontier empty changes nothing.
+    saved_k = k if resume else None
+
     def _snapshot() -> None:
+        nonlocal saved_k
         _deliver_all()  # undelivered links are frontier state
         ckpt.write(
             checkpoint_dir,
@@ -1202,6 +1211,7 @@ def run_crawl(
             },
             metrics=epoch_metrics.to_table(),
         )
+        saved_k = k
 
     while _budget_left(epochs_done + len(inflight), fetch_seq + sum(e[2] for e in inflight)):
         horizon = (k + 1) * W - 1
@@ -1261,8 +1271,9 @@ def run_crawl(
     _flush_inflight()
     t_drain0 = time.time()
     # the loop exited with undelivered links: the final snapshot, or
-    # the counters alone, must see them offered
-    if checkpoint_dir:
+    # the counters alone, must see them offered. A loop that ended on a
+    # snapshot (or never left the loaded one) has nothing left to write.
+    if checkpoint_dir and k != saved_k:
         _snapshot()
     else:
         _deliver_all()

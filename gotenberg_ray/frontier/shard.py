@@ -5,9 +5,10 @@ Each shard owns, for its partition of the host space:
   applied batch decides every admission (a fast-reject tier in front
   of it would save no probe, since a key it calls new must still be
   inserted),
-- the lazy-deletion binary heap keyed (ready_time, priority desc, seq),
+- the bulk-pop priority queue keyed (ready_time, priority desc, seq),
+  whose entries also locate their pending-URL payload rows,
 - per-host politeness token buckets + the robots.txt cache,
-- the pending-URL payload store and counters.
+- the pending-URL payload tables and counters.
 
 Partitioning is ``fnv64(host) % P`` so a host's politeness state and
 all its URLs are local to one shard (the groupby-host politeness
@@ -27,8 +28,6 @@ per-shard simulation reproduce the global sequential schedule exactly.
 """
 
 from __future__ import annotations
-
-from urllib.parse import urlsplit
 
 import numpy as np
 import pyarrow as pa
@@ -95,14 +94,13 @@ class FrontierShard:
         )
         robots_texts = robots_texts or {}
         self.robots = RobotsCache(robots_texts.get)
-        # pending-URL payload store: admitted rows stay in their Arrow
-        # tables; a packed locator (table_idx << 32 | row_idx) maps seq →
-        # row, and a liveness mask tracks grants. Strings never become
-        # Python objects between admission and grant.
+        # pending-URL payloads: admitted rows stay in their Arrow tables,
+        # and each heap entry carries its row's locator (table_idx << 32 |
+        # row_idx) — the heap entry is the only record of a pending URL.
+        # _plive counts each table's rows still in the heap. Strings never
+        # become Python objects between admission and grant.
         self._ptables: list[pa.Table | None] = []
-        self._pmask: list[np.ndarray] = []
-        self._plive: list[int] = []
-        self._ploc: dict[int, int] = {}
+        self._plive = np.empty(0, dtype=np.int64)
         self.counters = dict.fromkeys(COUNTER_KEYS, 0)
         self._delay_set: set[str] = set()  # hosts whose crawl-delay is applied
         self._pending: list[pa.Table] = []  # buffered offers, applied at flush
@@ -188,13 +186,7 @@ class FrontierShard:
 
         sub = batch.take(pa.array(np.nonzero(fresh)[0]))
         m = sub.num_rows
-        if "path" in sub.column_names:
-            paths = sub.column("path").combine_chunks()
-        else:
-            paths = pa.array(
-                [(urlsplit(u).path or "/") for u in sub.column("url_canon").to_pylist()],
-                pa.string(),
-            )
+        paths = sub.column("path").combine_chunks()
         # robots gate, grouped by DISTINCT RULESET rather than by host:
         # RobotsCache dedups identical robots.txt bodies to shared rule
         # objects, so the ~60 distinct rulesets behind thousands of hosts
@@ -254,29 +246,22 @@ class FrontierShard:
         k = adm.num_rows
         self.counters["admitted"] += k
 
-        seqs = adm.column("seq").to_numpy(zero_copy_only=False)
         ti = len(self._ptables)
         self._ptables.append(adm.select(list(PAYLOAD_SCHEMA.names)))
-        self._pmask.append(np.ones(k, dtype=bool))
-        self._plive.append(k)
-        base = ti << 32
-        self._ploc.update(
-            zip(seqs.tolist(), (np.arange(k, dtype=np.int64) + base).tolist())
-        )
+        self._plive = np.append(self._plive, k)
         self.heap.push_bulk(
             adm.column("next_fetch_time").to_numpy(zero_copy_only=False),
             adm.column("priority").to_numpy(zero_copy_only=False).astype(np.int64),
-            seqs,
+            adm.column("seq").to_numpy(zero_copy_only=False),
             adm.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64),
+            np.arange(k, dtype=np.int64) + (ti << 32),
         )
         return dict(self.counters)
 
     # ------------------------------------------------------------------- pop
-    def _gather_payload(self, seqs: np.ndarray) -> pa.Table:
-        """Rows for ``seqs`` (in that order) from the payload tables —
-        one take() per source table plus one reorder take."""
-        ploc = self._ploc
-        locs = np.fromiter((ploc[int(s)] for s in seqs), dtype=np.int64, count=len(seqs))
+    def _gather_payload(self, locs: np.ndarray) -> pa.Table:
+        """Payload rows at ``locs`` (in that order) — one take() per
+        source table plus one reorder take."""
         order = np.argsort(locs, kind="stable")
         sorted_locs = locs[order]
         tis = sorted_locs >> 32
@@ -292,80 +277,42 @@ class FrontierShard:
         inv[order] = np.arange(len(order))
         return merged.take(pa.array(inv))
 
-    def _release_payload(self, seqs: np.ndarray) -> None:
-        ploc = self._ploc
-        for s in seqs.tolist():
-            loc = ploc.pop(s)
-            ti = loc >> 32
-            self._pmask[ti][loc & 0xFFFFFFFF] = False
-            self._plive[ti] -= 1
-            if self._plive[ti] == 0:
-                self._ptables[ti] = None  # free consumed chunk
-                self._pmask[ti] = np.empty(0, dtype=bool)
+    def _release_payload(self, locs: np.ndarray) -> None:
+        """Count granted rows out of their tables; a table none of whose
+        rows is left in the heap is freed."""
+        gone = np.bincount(locs >> 32, minlength=len(self._plive))
+        self._plive -= gone
+        for ti in np.flatnonzero((self._plive == 0) & (gone > 0)).tolist():
+            self._ptables[ti] = None
 
     def pop_epoch(self, horizon: int) -> pa.Table:
         """Grant fetches for every heap entry ready by ``horizon``.
 
         Pops in (ready_time, -priority, seq) order; each popped entry is
-        assigned its host's earliest politeness slot ≥ ready_time. Slots
-        within the horizon are committed immediately (fetch_time = slot);
-        slots beyond it push the entry back ONCE at that slot — so every
-        entry costs at most one pop per epoch, independent of how deep
-        its host's queue is. Per-host slots advance monotonically, so
-        grant order per host follows pop order; globally the caller
-        sorts by (fetch_time, -priority, seq).
-
-        The bulk pop returns every ready entry in key order; the token
-        arithmetic below is the inlined HostBuckets refill/commit over
-        per-host state lists — same integer math, no per-row method
-        dispatch."""
+        assigned its host's earliest politeness slot ≥ ready_time
+        (``HostBuckets.grant``). Slots within the horizon are committed
+        immediately (fetch_time = slot); slots beyond it push the entry
+        back ONCE at that slot — so every entry costs at most one pop per
+        epoch, independent of how deep its host's queue is. Per-host
+        slots advance monotonically, so grant order per host follows pop
+        order; globally the caller sorts by (fetch_time, -priority, seq)."""
         self.flush()
-        ready, prio, seq, uh = self.heap.pop_ready_bulk(horizon)
+        ready, prio, seq, uh, loc = self.heap.pop_ready_bulk(horizon)
         n = len(ready)
         if n == 0:
             return GRANT_SCHEMA.empty_table()
-        payload = self._gather_payload(seq)
-        hosts_l = payload.column("host").to_numpy(zero_copy_only=False).tolist()
-        ensure = self.buckets._ensure
-        slots = np.empty(n, dtype=np.int64)
-        granted = np.zeros(n, dtype=bool)
-        capacity = self.buckets.capacity
-        for i in range(n):
-            st = ensure(hosts_l[i])
-            d, tok, last = st
-            t = int(ready[i])
-            # refill(t)
-            if t > last:
-                gained = (t - last) // d
-                if gained:
-                    tok = min(capacity, tok + gained)
-                    last = last + gained * d
-                if tok >= capacity:
-                    last = t
-            slot = t if tok > 0 else last + d
-            if slot <= horizon:
-                # commit: refill at slot, then consume
-                if slot > last:
-                    gained = (slot - last) // d
-                    if gained:
-                        tok = min(capacity, tok + gained)
-                        last = last + gained * d
-                    if tok >= capacity:
-                        last = slot
-                tok -= 1
-                granted[i] = True
-            slots[i] = slot
-            st[1] = tok
-            st[2] = last
+        payload = self._gather_payload(loc)
+        hosts = payload.column("host").to_numpy(zero_copy_only=False).tolist()
+        slots, granted = self.buckets.grant(hosts, ready, horizon)
         n_grant = int(granted.sum())
         self.counters["granted"] += n_grant
         if n_grant < n:
             nb = ~granted
-            self.heap.push_bulk(slots[nb], prio[nb], seq[nb], uh[nb])
+            self.heap.push_bulk(slots[nb], prio[nb], seq[nb], uh[nb], loc[nb])
         if n_grant == 0:
             return GRANT_SCHEMA.empty_table()
         g = np.nonzero(granted)[0]
-        self._release_payload(seq[g])
+        self._release_payload(loc[g])
         gp = payload.take(pa.array(g)) if n_grant < n else payload
         arrays = [
             pa.array(seq[g]),
@@ -405,16 +352,10 @@ class FrontierShard:
     def checkpoint(self) -> dict:
         """Canonical state snapshot (bit-identical across orchestrations)."""
         self.flush()  # pending offers are part of the state
-        live_parts = [
-            t.filter(pa.array(m))
-            for t, m, lv in zip(self._ptables, self._pmask, self._plive)
-            if t is not None and lv
-        ]
-        if live_parts:
-            payloads = (
-                pa.concat_tables(live_parts) if len(live_parts) > 1 else live_parts[0]
-            ).sort_by([("seq", "ascending")])
-            payloads = payloads.combine_chunks().select(PAYLOAD_SCHEMA.names)
+        # the live payload rows are exactly the rows the heap points at
+        seq, loc = self.heap.locators()
+        if len(seq):
+            payloads = self._gather_payload(loc[np.argsort(seq)]).combine_chunks()
         else:
             payloads = PAYLOAD_SCHEMA.empty_table()
         return {
@@ -428,8 +369,19 @@ class FrontierShard:
         }
 
     def restore(self, state: dict) -> None:
+        p = state["payloads"].select(PAYLOAD_SCHEMA.names)
+        pseq = p.column("seq").to_numpy(zero_copy_only=False)
+        hseq = state["heap"].column("seq").to_numpy(zero_copy_only=False)
+        # each heap entry must own exactly one payload row (the payload
+        # table is seq-sorted, so this is: same seqs, none twice)
+        if not (np.array_equal(np.sort(hseq), pseq) and (np.diff(pseq) > 0).all()):
+            raise ValueError(
+                f"snapshot of partition {state['partition_id']} is inconsistent: "
+                f"its {len(hseq)} heap entries and {len(pseq)} payload rows do "
+                "not hold the same seqs"
+            )
         self.cuckoo = CuckooFilter.from_bytes(state["cuckoo"])
-        self.heap = FrontierHeap.from_table(state["heap"])
+        self.heap = FrontierHeap.from_table(state["heap"], np.searchsorted(pseq, hseq))
         self.buckets = HostBuckets.from_table(
             state["buckets"],
             default_delay=self.default_delay,
@@ -437,12 +389,7 @@ class FrontierShard:
             salted=frozenset(self.salt_hosts),
             salt_k=self.salt_k,
         )
-        p = state["payloads"].select(PAYLOAD_SCHEMA.names)
-        k = p.num_rows
-        self._ptables = [p] if k else []
-        self._pmask = [np.ones(k, dtype=bool)] if k else []
-        self._plive = [k] if k else []
-        seqs = p.column("seq").to_numpy(zero_copy_only=False) if k else np.empty(0, np.int64)
-        self._ploc = dict(zip(seqs.tolist(), np.arange(k, dtype=np.int64).tolist()))
+        self._ptables = [p]
+        self._plive = np.array([p.num_rows], dtype=np.int64)
         self.counters = dict(state["counters"])
         self._delay_set = set(state["delay_hosts"])

@@ -1,12 +1,13 @@
-"""Lazy-deletion frontier priority queue — the per-partition scheduler
-queue, vectorized.
+"""Frontier priority queue — the per-partition scheduler queue, popped
+in bulk.
 
 North star: "lazy-deletion binary-heap priority queue keyed by
-(priority, next-fetch-time) per partition". Entries order by
+(priority, next-fetch-time) per partition" — kept here as a bulk-pop
+queue with no deletion (BASELINE.md §B). Entries order by
 ``(ready_time asc, priority desc, seq asc)`` — earliest eligible fetch
 first, then most important, then stable insertion order. ``seq`` is the
 globally-assigned insertion sequence number, which makes pop order a
-pure function of heap content (SURVEY §7.5: order assigned at schedule
+pure function of queue content (SURVEY §7.5: order assigned at schedule
 time).
 
 Internals: the epoch-synchronous scheduler only ever pops in BULK
@@ -14,12 +15,14 @@ Internals: the epoch-synchronous scheduler only ever pops in BULK
 O(log n) Python-object sifts per entry, entries live in chunked numpy
 column arrays; a pop partitions the store on ``ready <= horizon`` with
 one vector compare and sorts just the popped slice (np.lexsort). Same
-observable order as the heap, ~50× less per-entry overhead. Lazy
-deletion: ``delete(seq)`` marks a tombstone applied on the next
-consolidation. Canonical serialization sorts entries by key — two
-queues holding the same live set serialize identically regardless of
-insertion history, which is what makes resumed checkpoints comparable
-bit-for-bit.
+observable order as a heap, ~50× less per-entry overhead. Nothing is
+ever deleted: an entry leaves only by being popped, and a popped entry
+that was not granted is re-keyed by pushing it back, so there are no
+tombstones. Each entry also carries its owner's payload locator, an
+opaque int64 that is neither part of the key nor serialized. Canonical
+serialization sorts entries by key — two queues holding the same entry
+set serialize identically regardless of insertion history, which is
+what makes resumed checkpoints comparable bit-for-bit.
 """
 
 from __future__ import annotations
@@ -36,50 +39,32 @@ ENTRY_SCHEMA = pa.schema(
     ]
 )
 
-# one chunk = (ready:int64, negp:int64, seq:int64, uh:uint64)
-_Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# one chunk = (ready:int64, negp:int64, seq:int64, uh:uint64, loc:int64)
+_Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _empty_chunk() -> _Chunk:
     z = np.empty(0, dtype=np.int64)
-    return z, z.copy(), z.copy(), np.empty(0, dtype=np.uint64)
+    return z, z.copy(), z.copy(), np.empty(0, dtype=np.uint64), z.copy()
 
 
 class FrontierHeap:
     def __init__(self):
         self._chunks: list[_Chunk] = []
-        self._scalars: list[tuple[int, int, int, int]] = []  # (ready, negp, seq, uh)
-        self._deleted: set[int] = set()
-        self._live = 0
-        # live-seq index, built lazily on the first delete() and kept
-        # in sync afterwards — pays its memory only when tombstoning is
-        # actually used, and makes each presence check O(1) instead of
-        # a scan over every chunk (quadratic under frequent deletes)
-        self._seq_index: set[int] | None = None
 
     def __len__(self) -> int:
-        return self._live
+        return sum(len(c[0]) for c in self._chunks)
 
     # ------------------------------------------------------------------ push
-    def push(self, ready_time: int, priority: int, seq: int, url_hash: int) -> None:
-        # url_hash wraps to signed here and back to uint64 in
-        # _consolidate — a raw int ≥ 2^63 (half of all fnv64 values)
-        # would overflow the int64 scalar matrix otherwise
-        uh_signed = int(np.uint64(url_hash).astype(np.int64))
-        self._scalars.append((int(ready_time), -int(priority), int(seq), uh_signed))
-        self._live += 1
-        if self._seq_index is not None:
-            self._seq_index.add(int(seq))
-
     def push_bulk(
         self,
         ready: np.ndarray,
         priority: np.ndarray,
         seq: np.ndarray,
         url_hash: np.ndarray,
+        loc: np.ndarray,
     ) -> None:
-        n = len(ready)
-        if n == 0:
+        if len(ready) == 0:
             return
         self._chunks.append(
             (
@@ -87,53 +72,17 @@ class FrontierHeap:
                 -np.asarray(priority, dtype=np.int64),
                 np.asarray(seq, dtype=np.int64),
                 np.asarray(url_hash, dtype=np.uint64),
+                np.asarray(loc, dtype=np.int64),
             )
         )
-        self._live += n
-        if self._seq_index is not None:
-            self._seq_index.update(int(s) for s in self._chunks[-1][2])
-
-    def delete(self, seq: int) -> None:
-        """Lazy tombstone. Double-deletes and deletes of absent seqs
-        are no-ops — decrementing unconditionally would desynchronize
-        ``_live`` from the real entry count."""
-        seq = int(seq)
-        if seq in self._deleted:
-            return
-        if self._seq_index is None:
-            self._seq_index = {
-                int(s) for c in self._chunks for s in c[2]
-            } | {s[2] for s in self._scalars}
-            self._seq_index -= self._deleted
-        if seq not in self._seq_index:
-            return
-        self._seq_index.discard(seq)
-        self._deleted.add(seq)
-        self._live -= 1
 
     # --------------------------------------------------------------- internal
     def _consolidate(self) -> _Chunk:
-        """Collapse chunks + scalar buffer into one chunk, dropping
-        tombstoned entries."""
-        if self._scalars:
-            arr = np.array(self._scalars, dtype=np.int64)
-            self._chunks.append(
-                (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(np.uint64))
-            )
-            self._scalars = []
+        """Collapse the chunks into one."""
         if len(self._chunks) > 1:
-            ready = np.concatenate([c[0] for c in self._chunks])
-            negp = np.concatenate([c[1] for c in self._chunks])
-            seq = np.concatenate([c[2] for c in self._chunks])
-            uh = np.concatenate([c[3] for c in self._chunks])
-            self._chunks = [(ready, negp, seq, uh)]
+            self._chunks = [tuple(np.concatenate(col) for col in zip(*self._chunks))]
         elif not self._chunks:
             self._chunks = [_empty_chunk()]
-        if self._deleted:
-            ready, negp, seq, uh = self._chunks[0]
-            keep = ~np.isin(seq, np.fromiter(self._deleted, dtype=np.int64))
-            self._chunks = [(ready[keep], negp[keep], seq[keep], uh[keep])]
-            self._deleted.clear()
         return self._chunks[0]
 
     # ------------------------------------------------------------------- pop
@@ -142,38 +91,26 @@ class FrontierHeap:
         return int(ready.min()) if len(ready) else None
 
     def pop_ready_bulk(self, horizon: int) -> _Chunk:
-        """All live entries with ready_time <= horizon, in
-        (ready, -priority, seq) order → (ready, prio, seq, uh) arrays."""
-        ready, negp, seq, uh = self._consolidate()
-        mask = ready <= horizon
-        n_pop = int(mask.sum())
-        if n_pop == 0:
+        """All entries with ready_time <= horizon, in (ready, -priority,
+        seq) order → (ready, prio, seq, uh, loc) arrays."""
+        chunk = self._consolidate()
+        mask = chunk[0] <= horizon
+        if not mask.any():
             return _empty_chunk()
         keep = ~mask
-        self._chunks = [(ready[keep], negp[keep], seq[keep], uh[keep])]
-        self._live -= n_pop
-        if self._seq_index is not None:
-            self._seq_index.difference_update(int(s) for s in seq[mask])
-        r, p, s, u = ready[mask], negp[mask], seq[mask], uh[mask]
+        self._chunks = [tuple(col[keep] for col in chunk)]
+        r, p, s, u, loc = (col[mask] for col in chunk)
         order = np.lexsort((s, p, r))
-        return r[order], -p[order], s[order], u[order]
+        return r[order], -p[order], s[order], u[order], loc[order]
 
-    def pop_ready(self, horizon: int, limit: int | None = None) -> list[tuple[int, int, int, int]]:
-        """Compatibility API: pop up to ``limit`` ready entries in order
-        → [(ready, prio, seq, url_hash)]."""
-        r, p, s, u = self.pop_ready_bulk(horizon)
-        if limit is not None and len(r) > limit:
-            # push the overflow back (unsorted chunk — order restored on
-            # the next consolidation sort at pop time)
-            self.push_bulk(r[limit:], p[limit:], s[limit:], u[limit:])
-            r, p, s, u = r[:limit], p[:limit], s[:limit], u[:limit]
-        return [
-            (int(a), int(b), int(c), int(d)) for a, b, c, d in zip(r, p, s, u)
-        ]
+    def locators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(seq, loc) of every entry, in storage order."""
+        chunk = self._consolidate()
+        return chunk[2], chunk[4]
 
     # ---- checkpoint format -------------------------------------------------
     def to_table(self) -> pa.Table:
-        ready, negp, seq, uh = self._consolidate()
+        ready, negp, seq, uh, _ = self._consolidate()
         if not len(ready):
             return ENTRY_SCHEMA.empty_table()
         order = np.lexsort((uh.astype(np.int64), seq, negp, ready))
@@ -188,12 +125,15 @@ class FrontierHeap:
         )
 
     @classmethod
-    def from_table(cls, table: pa.Table) -> "FrontierHeap":
+    def from_table(cls, table: pa.Table, loc: np.ndarray) -> "FrontierHeap":
+        """The queue of a ``to_table`` snapshot; ``loc`` holds the payload
+        locator of each of its rows."""
         obj = cls()
         obj.push_bulk(
             table.column("ready_time").to_numpy(zero_copy_only=False),
             table.column("priority").to_numpy(zero_copy_only=False).astype(np.int64),
             table.column("seq").to_numpy(zero_copy_only=False),
             table.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64),
+            loc,
         )
         return obj

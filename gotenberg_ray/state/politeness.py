@@ -5,14 +5,17 @@ bit-identical resume forbids wall-clock scheduling). Each host has a
 bucket with ``capacity`` burst tokens refilling one token every
 ``delay`` ticks (delay from robots Crawl-delay, else the default).
 
-``reserve(host, t)`` either grants a fetch AT tick ``t`` (consuming a
-token) or returns the earliest tick at which the host will have a
-token — the caller re-heaps the entry at that tick. Pure integer
-arithmetic; state serializes to an Arrow table for checkpoints.
+``grant(hosts, ready, horizon)`` walks a batch of requests in order:
+each gets its host's earliest token tick at or after its ready tick,
+and takes the token when that tick is within the horizon — otherwise
+the caller re-heaps the entry at that tick. ``reserve(host, t)`` is
+the one-request case. Pure integer arithmetic; state serializes to an
+Arrow table for checkpoints.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 BUCKET_SCHEMA = pa.schema(
@@ -63,47 +66,63 @@ class HostBuckets:
             self._state[host] = st
         return st
 
-    def _refill(self, st: list[int], t: int) -> None:
-        delay, tokens, last = st
-        if t > last:
-            gained = (t - last) // delay
-            if gained:
-                st[1] = min(self.capacity, tokens + gained)
-                st[2] = last + gained * delay
-            if st[1] >= self.capacity:
-                st[2] = t  # full bucket: refill clock re-anchors at t
+    def grant(
+        self, hosts: list[str], ready: np.ndarray, horizon: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Grant a batch of fetch requests in order → (slots, granted).
+
+        Request i asks for host ``hosts[i]`` at tick ``ready[i]``; its
+        slot is the earliest tick ≥ ready[i] at which the host has a
+        token. A slot within ``horizon`` takes that token (granted);
+        a later one takes nothing, and the caller re-queues the request
+        at its slot. The scheduler passes requests in key order, so
+        per-host slots advance monotonically — this is what keeps heap
+        churn at one pop per entry per epoch instead of one per
+        politeness retry."""
+        n = len(hosts)
+        slots = np.empty(n, dtype=np.int64)
+        granted = np.zeros(n, dtype=bool)
+        ensure = self._ensure
+        capacity = self.capacity
+        for i, t in enumerate(np.asarray(ready, dtype=np.int64).tolist()):
+            st = ensure(hosts[i])
+            d, tok, last = st
+            # refill(t)
+            if t > last:
+                gained = (t - last) // d
+                if gained:
+                    tok = min(capacity, tok + gained)
+                    last = last + gained * d
+                if tok >= capacity:
+                    last = t  # full bucket: refill clock re-anchors at t
+            # no token: the next one arrives one full delay after the anchor
+            slot = t if tok > 0 else last + d
+            if slot <= horizon:
+                # commit: refill at slot, then consume
+                if slot > last:
+                    gained = (slot - last) // d
+                    if gained:
+                        tok = min(capacity, tok + gained)
+                        last = last + gained * d
+                    if tok >= capacity:
+                        last = slot
+                tok -= 1
+                granted[i] = True
+            slots[i] = slot
+            st[1] = tok
+            st[2] = last
+        return slots, granted
 
     def reserve(self, host: str, t: int) -> tuple[bool, int]:
         """Try to take a token at tick t.
 
         Returns (granted, when): granted=True → fetch at t; else `when`
-        is the earliest tick a token becomes available.
+        is the earliest tick a token becomes available. This is
+        ``grant`` with horizon t: a slot ≤ t exists only when a token
+        is present at t.
         """
-        st = self._ensure(host)
-        self._refill(st, t)
-        if st[1] > 0:
-            st[1] -= 1
-            return True, t
-        # next token arrives one full delay after the refill anchor
-        return False, st[2] + st[0]
-
-    def next_slot(self, host: str, t: int) -> int:
-        """Earliest tick ≥ t at which a token is available (no commit)."""
-        st = self._ensure(host)
-        self._refill(st, t)
-        return t if st[1] > 0 else st[2] + st[0]
-
-    def commit(self, host: str, slot: int) -> None:
-        """Consume the token at ``slot`` (as returned by next_slot).
-
-        The scheduler pops frontier entries in key order and commits
-        each grant's slot immediately, so per-host slots advance
-        monotonically — this is what keeps heap churn at one pop per
-        entry per epoch instead of one per politeness retry.
-        """
-        st = self._ensure(host)
-        self._refill(st, slot)
-        st[1] -= 1  # refill at `slot` guarantees a token is present
+        slots, granted = self.grant([host], np.array([t]), t)
+        return bool(granted[0]), int(slots[0])
 
     # ---- checkpoint format -------------------------------------------------
     def to_table(self) -> pa.Table:

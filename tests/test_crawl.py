@@ -440,6 +440,173 @@ def test_shard_seen_set_is_one_cuckoo_pass(tmp_path):
     assert snapshot_bytes(restored.checkpoint(), "b") == snapshot_bytes(state, "a")
 
 
+def test_shard_restore_continues_like_the_uninterrupted_shard():
+    """checkpoint → restore → pop_epoch grants what the never-restored
+    shard grants and ends on the same snapshot bytes. The cut comes
+    after partial grants (deep per-host queues, burst 1), with pending
+    rows spread over several payload tables, one of them fully granted.
+    A snapshot whose heap entries and payload rows hold different seqs
+    is refused."""
+    import numpy as np
+    import pyarrow as pa
+
+    from gotenberg_ray.frontier.crawler import CANDIDATE_SCHEMA
+    from gotenberg_ray.frontier.shard import FrontierShard
+    from gotenberg_ray.functions.hashing import fnv64
+
+    robots = {"slow.example": "User-agent: *\nCrawl-delay: 3\n"}
+
+    def batch(seq0, hosts, ready):
+        n = len(hosts)
+        seqs = np.arange(seq0, seq0 + n)
+        urls = [f"http://{h}/p{s}" for h, s in zip(hosts, seqs)]
+        return pa.table(
+            {
+                "url_canon": urls,
+                "url_hash": pa.array(fnv64(pa.array(urls)), pa.uint64()),
+                "host": hosts,
+                "path": [f"/p{s}" for s in seqs],
+                "priority": pa.array(seqs % 3, pa.int32()),
+                "next_fetch_time": pa.array(np.full(n, ready), pa.int64()),
+                "route": ["convert/url"] * n,
+                "doc_id": [f"doc-{s:06d}" for s in seqs],
+                "options_json": ["{}"] * n,
+                "seq": pa.array(seqs, pa.int64()),
+            },
+            schema=CANDIDATE_SCHEMA,
+        )
+
+    def make_shard():
+        return FrontierShard(0, capacity=1 << 10, seed=1, robots_texts=robots)
+
+    def snapshot(shard):
+        return ckpt.shard_state_to_table(shard.checkpoint())
+
+    a = make_shard()
+    a.offer(batch(0, ["solo.example"], 0))  # granted whole in the first epoch
+    a.flush()
+    a.offer(batch(10, ["a.example"] * 12 + ["slow.example"] * 8, 0))
+    a.flush()
+    a.offer(batch(30, ["a.example", "b.example"] * 8, 2))
+    first = a.pop_epoch(7)
+    assert 0 < first.num_rows < 37 and 0 in first.column("seq").to_pylist()
+    state = a.checkpoint()
+    assert state["payloads"].num_rows == len(a.heap) == 37 - first.num_rows
+
+    b = make_shard()
+    b.restore(state)
+    assert snapshot(b).equals(snapshot(a))
+    for shard in (a, b):
+        shard.offer(batch(50, ["b.example", "slow.example", "c.example"] * 2, 9))
+    for horizon in (15, 23, 31, 1000):
+        got, want = b.pop_epoch(horizon), a.pop_epoch(horizon)
+        assert got.num_rows and got.equals(want)
+        assert snapshot(b).equals(snapshot(a))
+    assert len(a.heap) == 0 and a.checkpoint()["payloads"].num_rows == 0
+
+    heap = state["heap"]
+    for bad in (
+        dict(state, payloads=state["payloads"].slice(1)),  # a heap entry without payload
+        dict(state, heap=heap.slice(1)),  # a payload row without heap entry
+        dict(state, heap=pa.concat_tables([heap.slice(1), heap.slice(1, 1)])),  # one seq twice
+    ):
+        with pytest.raises(ValueError, match="heap entries"):
+            make_shard().restore(bad)
+
+
+def _count_writes(monkeypatch) -> list:
+    """The epoch of every ``ckpt.write`` from here on."""
+    written = []
+    write = ckpt.write
+
+    def counted(ckpt_dir, shard_states, driver, metrics=None):
+        written.append(driver["epoch"])
+        return write(ckpt_dir, shard_states, driver, metrics)
+
+    monkeypatch.setattr(ckpt, "write", counted)
+    return written
+
+
+def test_checkpoint_every_epoch_writes_each_snapshot_once(small_world, tmp_path, monkeypatch):
+    """With checkpoint_every=1 a crawl writes one snapshot per epoch, also
+    across a stop and a resume: the loop's last snapshot is not written
+    again after the loop, and a resume with no budget left does not
+    rewrite the snapshot it loaded."""
+    import dataclasses
+
+    docs, frontier, robots, cfg = small_world
+    cfg = dataclasses.replace(cfg, checkpoint_every=1)
+    written = _count_writes(monkeypatch)
+    d = str(tmp_path / "ck")
+    first = run_crawl(
+        frontier, docs, robots, dataclasses.replace(cfg, max_epochs=3),
+        mode="local", checkpoint_dir=d,
+    )
+    assert first.epochs == 3 and len(written) == 3
+    rest = run_crawl(frontier, docs, robots, cfg, mode="local", checkpoint_dir=d, resume=True)
+    assert rest.epochs == cfg.max_epochs
+    assert len(written) == rest.epochs == len(set(written))
+    again = run_crawl(frontier, docs, robots, cfg, mode="local", checkpoint_dir=d, resume=True)
+    assert again.epochs == rest.epochs and len(written) == rest.epochs
+
+
+# sha256 of the small-world crawl's fetch log (Arrow IPC, one chunk) and
+# of its final snapshot's per-shard state bytes (the cuckoo table and the
+# heap, buckets and payloads IPC tables). A refactor of the scheduler
+# must leave every one of them unchanged; a change of the schedule or of
+# the snapshot format moves them, and must say why. Parquet file hashes
+# are not pinned: they embed the writer version.
+_PINNED_FETCH_LOG = "741a4ca920a9d945dfd68f0efe748b4225b716cb091691547a5aca68d8a44fe7"
+_PINNED_SHARD_STATE = {
+    "0/cuckoo": "7eed6bf373d1dc8e882da451eeb012462be28797c6a8d4cbf193394eb63368c8",
+    "0/heap": "82a3d45e3852e0577f9ea8c4671fd2559f0b04d7964458a1229c8e97fde6d2f0",
+    "0/buckets": "f896eab1bad84d7e56ff0c65427a2fd1fc6084245fb935d857d8d3d70fc8a622",
+    "0/payloads": "618f709c49abbaab045d1494782e2f8d2d3d05b38e8e47580706fe889ff51d2e",
+    "1/cuckoo": "ed6d22f2eb00b43a8c547d917b36e73552a39797d68671d9ed7f9c024cb5187f",
+    "1/heap": "454e5aa8034f2988fa4164b7287874f27af2d66277e8b81eaaf2cc218ae394db",
+    "1/buckets": "f67d5415c7ba038912a71018cfcba3444266a8a5ba6b54f6f6151cb5af9abcaa",
+    "1/payloads": "87d0e63423b23fbd39cfa0c52f4e33369d4680bb9f997dd5051dce14b94597fd",
+    "2/cuckoo": "c6f6e244c511b2635f92937ec64432d900943be94e9327ddcab99a73ddec18c0",
+    "2/heap": "29bb4545c4cb82a97f195c1501ef701da78ad281e8dd401f873595472075215c",
+    "2/buckets": "3ead1659eb248bff8a9dee3bcc91561ffe27e425177fc5f11dd71d761418f104",
+    "2/payloads": "24f041e79a0710b2ac7ab2895f66019b1e58334814f4b02a7f45c5594a8a8991",
+    "3/cuckoo": "36e64b1b123eae092ca68cc5ea82328110d9f2b61f6c6f02c055b263a1814389",
+    "3/heap": "2a488911d10a935bb730d56e6199acc5eb65e78cd8f0abed1e12e11ed9b36c96",
+    "3/buckets": "383995789f41b3cd205fa145f850250fa7faa2f431d0e9c51ff35cc3c91e1543",
+    "3/payloads": "350c5ebc4036ecdd6b49b113db5198be210275f38c98c090439eac4d1428adab",
+}
+
+
+def test_local_crawl_matches_pinned_digests(small_world, tmp_path):
+    """The scheduler's output bytes stay put: fetch order, admission,
+    politeness and the snapshot format all feed these digests."""
+    import dataclasses
+    import hashlib
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    docs, frontier, robots, cfg = small_world
+    cfg = dataclasses.replace(cfg, checkpoint_every=1)
+    d = str(tmp_path / "ck")
+    res = run_crawl(frontier, docs, robots, cfg, mode="local", checkpoint_dir=d)
+    sink = pa.BufferOutputStream()
+    log = res.fetch_log.combine_chunks()
+    with pa.ipc.new_stream(sink, log.schema) as w:
+        w.write_table(log)
+    assert hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest() == _PINNED_FETCH_LOG
+    ep = ckpt.latest_epoch_dir(d)
+    got = {}
+    for f in sorted(os.listdir(ep)):
+        if f.startswith("shard_"):
+            t = pq.read_table(os.path.join(ep, f))
+            pid = t.column("partition_id")[0].as_py()
+            for c in ("cuckoo", "heap", "buckets", "payloads"):
+                got[f"{pid}/{c}"] = hashlib.sha256(t.column(c)[0].as_py()).hexdigest()
+    assert got == _PINNED_SHARD_STATE
+
+
 def test_synthetic_links_batch_matches_scalar_reference():
     """The vectorized link generator must be byte-identical to the
     scalar reference for arbitrary (hash, host) inputs — fetch

@@ -62,57 +62,113 @@ def test_cuckoo_deterministic_serialization():
     assert c.to_bytes() == a.to_bytes()
 
 
-def test_heap_order_and_lazy_deletion():
+def _push(h, rows):
+    """Push [(ready, priority, seq, url_hash)] as one chunk; loc = 1000 + seq."""
+    r, p, s, u = (np.array(c) for c in zip(*rows))
+    h.push_bulk(r, p, s, u.astype(np.uint64), 1000 + s)
+
+
+def test_heap_pops_in_key_order():
     h = FrontierHeap()
-    h.push(5, 1, 10, 100)
-    h.push(3, 0, 11, 101)
-    h.push(3, 9, 12, 102)
-    h.push(3, 9, 9, 103)
-    h.delete(11)
-    out = h.pop_ready(horizon=4)
-    # ready=3 first; among those priority desc, then seq asc; deleted 11 gone
-    assert [(t[2]) for t in out] == [9, 12]
-    assert len(h) == 1
-    assert h.pop_ready(horizon=10) == [(5, 1, 10, 100)]
-
-
-def test_heap_delete_index_stays_consistent():
-    # deletes interleaved with pushes, bulk pushes and pops must keep
-    # the lazily-built live-seq index in sync with the real entry set
-    import numpy as np
-
-    h = FrontierHeap()
-    h.push(1, 0, 1, 10)
-    h.delete(1)  # builds the index
-    assert len(h) == 0
-    h.push(2, 0, 2, 11)  # scalar push after index exists
-    h.push_bulk(
-        np.array([3, 4]), np.array([0, 0]), np.array([3, 4]), np.array([12, 13], dtype=np.uint64)
-    )
-    h.delete(3)
-    h.delete(3)  # double delete: no-op
-    h.delete(99)  # absent: no-op
-    assert len(h) == 2
-    out = h.pop_ready(horizon=10)
-    assert [t[2] for t in out] == [2, 4]
-    h.delete(2)  # popped seq: must be absent from the index now
-    assert len(h) == 0
-    h.push(5, 0, 2, 11)  # re-push a previously-popped seq
-    h.delete(2)
-    assert len(h) == 0
+    _push(h, [(5, 1, 10, 100), (3, 0, 11, 101)])
+    _push(h, [(3, 9, 12, 102), (3, 9, 9, 103)])
+    ready, prio, seq, uh, loc = h.pop_ready_bulk(horizon=4)
+    # ready=3 first; among those priority desc, then seq asc
+    assert seq.tolist() == [9, 12, 11]
+    assert prio.tolist() == [9, 9, 0]
+    assert uh.tolist() == [103, 102, 101]
+    assert loc.tolist() == [1009, 1012, 1011]  # locators ride with their entries
+    assert len(h) == 1 and h.peek_ready_time() == 5
+    assert [c.tolist() for c in h.pop_ready_bulk(horizon=10)] == [[5], [1], [10], [100], [1010]]
+    assert len(h) == 0 and h.peek_ready_time() is None
+    assert len(h.pop_ready_bulk(horizon=10)[0]) == 0
 
 
 def test_heap_canonical_serialization():
     a, b = FrontierHeap(), FrontierHeap()
-    for args in [(3, 1, 1, 10), (1, 2, 2, 11), (2, 3, 3, 12)]:
-        a.push(*args)
-    for args in [(2, 3, 3, 12), (3, 1, 1, 10), (1, 2, 2, 11)]:
-        b.push(*args)
-    a.delete(2)
-    b.delete(2)
+    rows = [(3, 1, 1, 10), (1, 2, 2, 11), (2, 3, 3, 12)]
+    _push(a, rows)
+    _push(b, rows[2:])
+    _push(b, rows[:2])
     assert a.to_table().equals(b.to_table())
-    c = FrontierHeap.from_table(a.to_table())
-    assert c.to_table().equals(a.to_table())
+    # a popped entry re-keyed by push-back serializes like one pushed there
+    r, p, s, u, loc = b.pop_ready_bulk(horizon=1)
+    b.push_bulk(r + 2, p, s, u, loc)
+    c = FrontierHeap()
+    _push(c, [(3, 1, 1, 10), (3, 2, 2, 11), (2, 3, 3, 12)])
+    assert b.to_table().equals(c.to_table())
+    seq = a.to_table().column("seq").to_numpy()
+    d = FrontierHeap.from_table(a.to_table(), 1000 + seq)
+    assert d.to_table().equals(a.to_table())
+    assert sorted(zip(*(x.tolist() for x in d.locators()))) == [(1, 1001), (2, 1002), (3, 1003)]
+
+
+def test_heap_big_hash_roundtrips():
+    h = FrontierHeap()
+    big = 0xD6E8FEB86659FD93  # ≥ 2^63
+    _push(h, [(0, 1, 7, big)])
+    assert h.to_table().column("url_hash").to_pylist() == [big]
+    assert h.pop_ready_bulk(0)[3].tolist() == [big]
+
+
+class _LoopBucket:
+    """Reference token bucket: one request at a time, refill then take."""
+
+    def __init__(self, delay, capacity):
+        self.delay, self.capacity, self.tokens, self.last = delay, capacity, capacity, 0
+
+    def refill(self, t):
+        if t > self.last:
+            gained = (t - self.last) // self.delay
+            if gained:
+                self.tokens = min(self.capacity, self.tokens + gained)
+                self.last += gained * self.delay
+            if self.tokens >= self.capacity:
+                self.last = t
+
+    def request(self, t, horizon):
+        """→ (slot, granted): the earliest tick ≥ t holding a token, taken
+        when it is within the horizon."""
+        self.refill(t)
+        slot = t if self.tokens > 0 else self.last + self.delay
+        if slot > horizon:
+            return slot, False
+        self.refill(slot)
+        self.tokens -= 1
+        return slot, True
+
+
+def test_host_buckets_grant_matches_loop_reference():
+    rng = np.random.RandomState(11)
+    for _ in range(150):
+        burst = int(rng.randint(1, 4))
+        n_hosts = int(rng.randint(1, 5))
+        delays = rng.randint(1, 6, n_hosts)
+        hb = HostBuckets(default_delay=2, capacity=burst)
+        ref = {}
+        for h in range(n_hosts):
+            hb.set_delay(f"h{h}", int(delays[h]))
+            ref[f"h{h}"] = _LoopBucket(int(delays[h]), burst)
+        t0 = 0
+        for _ in range(int(rng.randint(1, 5))):  # successive epochs share state
+            n = int(rng.randint(0, 30))
+            ready = np.sort(t0 + rng.randint(0, 12, n)).astype(np.int64)
+            hosts = [f"h{int(i)}" for i in rng.randint(0, n_hosts, n)]
+            horizon = t0 + int(rng.randint(0, 16))
+            slots, granted = hb.grant(hosts, ready, horizon)
+            want = [ref[h].request(int(t), horizon) for h, t in zip(hosts, ready)]
+            assert slots.tolist() == [w[0] for w in want]
+            assert granted.tolist() == [w[1] for w in want]
+            t0 = horizon + 1
+        got = hb.to_table().to_pydict()
+        assert got["tokens"] == [ref[h].tokens for h in got["host"]]
+        assert got["last_refill"] == [ref[h].last for h in got["host"]]
+        # reserve(h, t) is the one-request grant with horizon t
+        for _ in range(20):
+            h = f"h{int(rng.randint(0, n_hosts))}"
+            t0 += int(rng.randint(0, 4))
+            slot, ok = ref[h].request(t0, t0)
+            assert hb.reserve(h, t0) == (ok, slot)
 
 
 def test_politeness_reserve_and_refill():
@@ -178,29 +234,6 @@ def test_robots_cache_counts_fetches():
 def test_empty_robots_allows_everything():
     rc = RobotsCache(lambda h: None)
     assert rc.allowed("h", "/anything")
-
-
-class TestHeapScalarApi:
-    def test_push_big_hash_roundtrips(self):
-        from gotenberg_ray.state.heap import FrontierHeap
-
-        h = FrontierHeap()
-        big = 0xD6E8FEB86659FD93  # ≥ 2^63
-        h.push(0, 1, 7, big)
-        t = h.to_table()
-        assert t.column("url_hash").to_pylist() == [big]
-
-    def test_delete_is_idempotent_and_checks_presence(self):
-        from gotenberg_ray.state.heap import FrontierHeap
-
-        h = FrontierHeap()
-        h.push(0, 1, 7, 1)
-        h.delete(7)
-        h.delete(7)  # double delete: no-op
-        h.delete(99)  # absent seq: no-op
-        assert len(h) == 0
-        h.push(1, 1, 8, 2)
-        assert len(h) == 1
 
 
 def test_robots_wildcard_batch_accepts_arrow_arrays():
