@@ -5,35 +5,65 @@ north rule, expressed as parquet since lance isn't in this container —
 the writer below is the single place to swap the format):
 
     ckpt_dir/epoch=000123/
-        shard_0007.parquet   # one row: binary cuckoo table + IPC-
-                             # serialized heap/buckets/payload tables
+        shard_0007.parquet   # one row, zstd: the shard's state
         driver.json          # epoch counter, seq cursors, config hash
         _COMPLETE            # marker written LAST → snapshot is valid
 
+A shard file's columns: ``partition_id``; ``cuckoo``, the seen-set's
+``to_bytes`` (its occupied slots only); ``pending``, the queued URLs
+(queue key and payload, in seq order), and ``buckets``, the politeness
+state, each a ``list<struct>`` whose leaves parquet dictionary-encodes
+and compresses column by column; ``counters`` and ``delay_hosts`` as
+JSON. A snapshot's bytes therefore scale with what the shard holds, not
+with the seen-set's capacity or the width of repeated strings.
+
 Resume picks the newest epoch dir carrying ``_COMPLETE``; a run killed
 mid-write leaves no marker and is skipped, so resume is always from a
-consistent cut. Checkpoint equality (bytes of every shard file) is the
-resume-fidelity criterion's comparator.
+consistent cut. A fresh run first discards every snapshot in its
+directory (``clear``), so only its own can be loaded. Checkpoint
+equality (bytes of every shard file) is the resume-fidelity
+criterion's comparator.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+_EPOCH_DIR = re.compile(r"epoch=(\d+)")
 
-def _ipc_bytes(table: pa.Table) -> bytes:
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, table.schema) as w:
-        w.write_table(table)
-    return sink.getvalue().to_pybytes()
+# shard-file writer options. Dictionary pages only for the leaves with
+# few distinct values: seqs, hashes, URLs and the cuckoo blob are near
+# unique, where a dictionary is built only to be dropped. Min/max
+# statistics serve no reader of a one-row file.
+_WRITE_OPTIONS = dict(
+    compression="zstd",
+    use_dictionary=[
+        *(
+            f"pending.list.element.{c}"
+            for c in ("ready_time", "priority", "host", "route", "doc_id", "options_json")
+        ),
+        "buckets.list.element.delay",
+    ],
+    write_statistics=False,
+)
 
 
-def _ipc_table(raw: bytes) -> pa.Table:
-    return pa.ipc.open_stream(pa.BufferReader(raw)).read_all()
+def _rows(table: pa.Table) -> pa.Array:
+    """``table`` as a one-row ``list<struct>`` column."""
+    structs = pa.StructArray.from_arrays(
+        [c.combine_chunks() for c in table.columns], fields=list(table.schema)
+    )
+    return pa.ListArray.from_arrays(pa.array([0, len(structs)], pa.int32()), structs)
+
+
+def _table(col: pa.ChunkedArray) -> pa.Table:
+    return pa.Table.from_struct_array(col.combine_chunks().flatten())
 
 
 def shard_state_to_table(state: dict) -> pa.Table:
@@ -41,9 +71,8 @@ def shard_state_to_table(state: dict) -> pa.Table:
         {
             "partition_id": pa.array([state["partition_id"]], pa.int32()),
             "cuckoo": pa.array([state["cuckoo"]], pa.binary()),
-            "heap": pa.array([_ipc_bytes(state["heap"])], pa.binary()),
-            "buckets": pa.array([_ipc_bytes(state["buckets"])], pa.binary()),
-            "payloads": pa.array([_ipc_bytes(state["payloads"])], pa.binary()),
+            "pending": _rows(state["pending"]),
+            "buckets": _rows(state["buckets"]),
             "counters": pa.array([json.dumps(state["counters"], sort_keys=True)], pa.string()),
             "delay_hosts": pa.array([json.dumps(state["delay_hosts"])], pa.string()),
         }
@@ -51,15 +80,13 @@ def shard_state_to_table(state: dict) -> pa.Table:
 
 
 def table_to_shard_state(table: pa.Table) -> dict:
-    row = {c: table.column(c)[0].as_py() for c in table.column_names}
     return {
-        "partition_id": row["partition_id"],
-        "cuckoo": row["cuckoo"],
-        "heap": _ipc_table(row["heap"]),
-        "buckets": _ipc_table(row["buckets"]),
-        "payloads": _ipc_table(row["payloads"]),
-        "counters": json.loads(row["counters"]),
-        "delay_hosts": json.loads(row["delay_hosts"]),
+        "partition_id": table.column("partition_id")[0].as_py(),
+        "cuckoo": table.column("cuckoo")[0].as_py(),
+        "pending": _table(table.column("pending")),
+        "buckets": _table(table.column("buckets")),
+        "counters": json.loads(table.column("counters")[0].as_py()),
+        "delay_hosts": json.loads(table.column("delay_hosts")[0].as_py()),
     }
 
 
@@ -69,6 +96,7 @@ def _write_into(d: str, shard_states: list[dict], driver: dict, metrics) -> None
         pq.write_table(
             shard_state_to_table(st),
             os.path.join(d, f"shard_{st['partition_id']:04d}.parquet"),
+            **_WRITE_OPTIONS,
         )
     if metrics is not None and metrics.num_rows:
         # observability only — excluded from the bit-identity digest
@@ -88,15 +116,13 @@ def write(
 ) -> str:
     """Atomic snapshot write. A FRESH epoch dir writes in place with
     ``_COMPLETE`` last (a kill mid-write leaves no marker). RE-writing
-    an epoch that already carries a marker (a fresh run into a
-    directory that holds an earlier run's snapshots) must not tear the
+    an epoch that already carries a marker (a caller that writes the
+    same epoch twice) must not tear the
     existing valid snapshot: the new state lands in a ``_tmp-`` dir (invisible
     to resume), the old dir renames away, the tmp renames in, and the
     old dir is removed — a kill anywhere leaves either the old or the
     new CONSISTENT snapshot discoverable (worst case: neither, and
     resume falls back to the previous complete epoch)."""
-    import shutil
-
     epoch = driver["epoch"]
     name = f"epoch={epoch:06d}"
     d = os.path.join(ckpt_dir, name)
@@ -116,14 +142,30 @@ def write(
     return d
 
 
+def clear(ckpt_dir: str) -> None:
+    """Discard every snapshot under ``ckpt_dir`` (a fresh run's first
+    step). The ``_COMPLETE`` markers go first, so a kill mid-sweep leaves
+    none of the discarded snapshots loadable."""
+    if not os.path.isdir(ckpt_dir):
+        return
+    dirs = [
+        os.path.join(ckpt_dir, e)
+        for e in os.listdir(ckpt_dir)
+        if _EPOCH_DIR.fullmatch(e) or e.startswith(("_tmp-epoch=", "_old-epoch="))
+    ]
+    for d in dirs:
+        if os.path.exists(os.path.join(d, "_COMPLETE")):
+            os.unlink(os.path.join(d, "_COMPLETE"))
+    for d in dirs:
+        shutil.rmtree(d, ignore_errors=True)
+
+
 def latest_epoch_dir(ckpt_dir: str) -> str | None:
     if not os.path.isdir(ckpt_dir):
         return None
-    import re
-
     epochs = []
     for e in os.listdir(ckpt_dir):
-        m = re.fullmatch(r"epoch=(\d+)", e)
+        m = _EPOCH_DIR.fullmatch(e)
         if m and os.path.exists(os.path.join(ckpt_dir, e, "_COMPLETE")):
             epochs.append((int(m.group(1)), e))
     if not epochs:
@@ -137,8 +179,16 @@ def load_latest(ckpt_dir: str) -> dict:
     d = latest_epoch_dir(ckpt_dir)
     if d is None:
         raise FileNotFoundError(f"no complete checkpoint under {ckpt_dir}")
-    shard_files = sorted(f for f in os.listdir(d) if f.startswith("shard_"))
-    shards = [table_to_shard_state(pq.read_table(os.path.join(d, f))) for f in shard_files]
+    shards = []
+    for f in sorted(f for f in os.listdir(d) if f.startswith("shard_")):
+        table = pq.ParquetFile(os.path.join(d, f)).read()
+        if "heap" in table.column_names or "payloads" in table.column_names:
+            raise ValueError(
+                f"{d} holds a snapshot in the old shard format (heap and payloads "
+                "IPC blobs, a dense cuckoo table), which this version does not "
+                "read; start a fresh crawl (resume=False) into the directory"
+            )
+        shards.append(table_to_shard_state(table))
     with open(os.path.join(d, "driver.json")) as f:
         driver = json.load(f)
     return {"shards": shards, "driver": driver, "dir": d}

@@ -1074,6 +1074,10 @@ def run_crawl(
             drv["epoch"], drv["next_seq"], drv["fetch_seq"], drv["epochs_done"]
         )
     else:
+        if checkpoint_dir:
+            # an earlier run's snapshots (later epochs than this run may
+            # reach) must not be what a resume of this run loads
+            ckpt.clear(checkpoint_dir)
         # seed admission is a pure function of (rows, filter). Raw seed
         # lists are messy (mixed case, ports, fragments), so most rows
         # take the per-row RFC-3986 parser — ~60µs/URL of driver time.

@@ -10,6 +10,10 @@ Each shard owns, for its partition of the host space:
 - per-host politeness token buckets + the robots.txt cache,
 - the pending-URL payload tables and counters.
 
+A snapshot holds the queue and the payloads as one ``pending`` table in
+seq order (``PENDING_SCHEMA``), so there is one record per pending URL
+on disk as in memory.
+
 Partitioning is ``fnv64(host) % P`` so a host's politeness state and
 all its URLs are local to one shard (the groupby-host politeness
 accounting of the north rule happens shard-locally, with no extra
@@ -51,14 +55,17 @@ GRANT_SCHEMA = pa.schema(
     ]
 )
 
-PAYLOAD_SCHEMA = pa.schema(
+# the columns a pending URL carries besides its queue key
+PAYLOAD_COLUMNS = ["url_canon", "host", "route", "doc_id", "options_json"]
+
+# a snapshot's pending URLs: the queue entry, then the payload
+PENDING_SCHEMA = pa.schema(
     [
         ("seq", pa.int64()),
-        ("url_canon", pa.string()),
-        ("host", pa.string()),
-        ("route", pa.string()),
-        ("doc_id", pa.string()),
-        ("options_json", pa.string()),
+        ("ready_time", pa.int64()),
+        ("priority", pa.int32()),
+        ("url_hash", pa.uint64()),
+        *(GRANT_SCHEMA.field(c) for c in PAYLOAD_COLUMNS),
     ]
 )
 
@@ -247,7 +254,7 @@ class FrontierShard:
         self.counters["admitted"] += k
 
         ti = len(self._ptables)
-        self._ptables.append(adm.select(list(PAYLOAD_SCHEMA.names)))
+        self._ptables.append(adm.select(PAYLOAD_COLUMNS))
         self._plive = np.append(self._plive, k)
         self.heap.push_bulk(
             adm.column("next_fetch_time").to_numpy(zero_copy_only=False),
@@ -259,9 +266,9 @@ class FrontierShard:
         return dict(self.counters)
 
     # ------------------------------------------------------------------- pop
-    def _gather_payload(self, locs: np.ndarray) -> pa.Table:
-        """Payload rows at ``locs`` (in that order) — one take() per
-        source table plus one reorder take."""
+    def _gather_payload(self, locs: np.ndarray, columns: list[str] = PAYLOAD_COLUMNS) -> pa.Table:
+        """``columns`` of the payload rows at ``locs`` (in that order) —
+        one take() per source table plus one reorder take."""
         order = np.argsort(locs, kind="stable")
         sorted_locs = locs[order]
         tis = sorted_locs >> 32
@@ -269,7 +276,7 @@ class FrontierShard:
         bounds = np.nonzero(np.r_[True, tis[1:] != tis[:-1]])[0]
         ends = np.r_[bounds[1:], len(tis)]
         parts = [
-            self._ptables[int(tis[a])].take(pa.array(ris[a:b]))
+            self._ptables[int(tis[a])].select(columns).take(pa.array(ris[a:b]))
             for a, b in zip(bounds, ends)
         ]
         merged = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
@@ -301,9 +308,12 @@ class FrontierShard:
         n = len(ready)
         if n == 0:
             return GRANT_SCHEMA.empty_table()
-        payload = self._gather_payload(loc)
-        hosts = payload.column("host").to_numpy(zero_copy_only=False).tolist()
-        slots, granted = self.buckets.grant(hosts, ready, horizon)
+        # the grant decision reads only the host; most popped entries
+        # are pushed back, so the rest of the payload waits for the grants
+        hosts = self._gather_payload(loc, ["host"]).column("host")
+        slots, granted = self.buckets.grant(
+            hosts.to_numpy(zero_copy_only=False).tolist(), ready, horizon
+        )
         n_grant = int(granted.sum())
         self.counters["granted"] += n_grant
         if n_grant < n:
@@ -312,18 +322,14 @@ class FrontierShard:
         if n_grant == 0:
             return GRANT_SCHEMA.empty_table()
         g = np.nonzero(granted)[0]
+        gp = self._gather_payload(loc[g])
         self._release_payload(loc[g])
-        gp = payload.take(pa.array(g)) if n_grant < n else payload
         arrays = [
             pa.array(seq[g]),
             pa.array(slots[g]),
             pa.array(prio[g].astype(np.int32)),
             pa.array(uh[g]),
-            gp.column("url_canon"),
-            gp.column("host"),
-            gp.column("route"),
-            gp.column("doc_id"),
-            gp.column("options_json"),
+            *gp.columns,
         ]
         return pa.Table.from_arrays(arrays, schema=GRANT_SCHEMA)
 
@@ -350,38 +356,54 @@ class FrontierShard:
 
     # ------------------------------------------------------------ checkpoint
     def checkpoint(self) -> dict:
-        """Canonical state snapshot (bit-identical across orchestrations)."""
+        """Canonical state snapshot (bit-identical across orchestrations):
+        the pending URLs are one table in seq order."""
         self.flush()  # pending offers are part of the state
-        # the live payload rows are exactly the rows the heap points at
-        seq, loc = self.heap.locators()
+        ready, prio, seq, uh, loc = self.heap.entries()
         if len(seq):
-            payloads = self._gather_payload(loc[np.argsort(seq)]).combine_chunks()
+            order = np.argsort(seq)
+            # the live payload rows are exactly the rows the heap points at
+            payload = self._gather_payload(loc[order])
+            pending = pa.Table.from_arrays(
+                [
+                    pa.array(seq[order]),
+                    pa.array(ready[order]),
+                    pa.array(prio[order].astype(np.int32)),
+                    pa.array(uh[order]),
+                    *payload.columns,
+                ],
+                schema=PENDING_SCHEMA,
+            )
         else:
-            payloads = PAYLOAD_SCHEMA.empty_table()
+            pending = PENDING_SCHEMA.empty_table()
         return {
             "partition_id": self.partition_id,
             "cuckoo": self.cuckoo.to_bytes(),
-            "heap": self.heap.to_table(),
+            "pending": pending,
             "buckets": self.buckets.to_table(),
-            "payloads": payloads,
             "counters": dict(self.counters),
             "delay_hosts": sorted(self._delay_set),
         }
 
     def restore(self, state: dict) -> None:
-        p = state["payloads"].select(PAYLOAD_SCHEMA.names)
-        pseq = p.column("seq").to_numpy(zero_copy_only=False)
-        hseq = state["heap"].column("seq").to_numpy(zero_copy_only=False)
-        # each heap entry must own exactly one payload row (the payload
-        # table is seq-sorted, so this is: same seqs, none twice)
-        if not (np.array_equal(np.sort(hseq), pseq) and (np.diff(pseq) > 0).all()):
+        p = state["pending"]
+        seq = p.column("seq").to_numpy(zero_copy_only=False)
+        # one row per pending URL, in seq order (so no seq twice)
+        if (np.diff(seq) <= 0).any():
             raise ValueError(
                 f"snapshot of partition {state['partition_id']} is inconsistent: "
-                f"its {len(hseq)} heap entries and {len(pseq)} payload rows do "
-                "not hold the same seqs"
+                f"the seqs of its {len(seq)} pending rows are not strictly increasing"
             )
         self.cuckoo = CuckooFilter.from_bytes(state["cuckoo"])
-        self.heap = FrontierHeap.from_table(state["heap"], np.searchsorted(pseq, hseq))
+        # the heap locates row i of the one payload table as i
+        self.heap = FrontierHeap()
+        self.heap.push_bulk(
+            p.column("ready_time").to_numpy(zero_copy_only=False),
+            p.column("priority").to_numpy(zero_copy_only=False).astype(np.int64),
+            seq,
+            p.column("url_hash").to_numpy(zero_copy_only=False),
+            np.arange(len(seq), dtype=np.int64),
+        )
         self.buckets = HostBuckets.from_table(
             state["buckets"],
             default_delay=self.default_delay,
@@ -389,7 +411,7 @@ class FrontierShard:
             salted=frozenset(self.salt_hosts),
             salt_k=self.salt_k,
         )
-        self._ptables = [p]
+        self._ptables = [p.select(PAYLOAD_COLUMNS)]
         self._plive = np.array([p.num_rows], dtype=np.int64)
         self.counters = dict(state["counters"])
         self._delay_set = set(state["delay_hosts"])

@@ -19,25 +19,15 @@ observable order as a heap, ~50× less per-entry overhead. Nothing is
 ever deleted: an entry leaves only by being popped, and a popped entry
 that was not granted is re-keyed by pushing it back, so there are no
 tombstones. Each entry also carries its owner's payload locator, an
-opaque int64 that is neither part of the key nor serialized. Canonical
-serialization sorts entries by key — two queues holding the same entry
-set serialize identically regardless of insertion history, which is
-what makes resumed checkpoints comparable bit-for-bit.
+opaque int64 that is not part of the key. The queue has no format of
+its own: its owner snapshots ``entries()`` in seq order, so two queues
+holding the same entry set snapshot identically regardless of insertion
+history, which is what makes resumed checkpoints comparable bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-
-ENTRY_SCHEMA = pa.schema(
-    [
-        ("ready_time", pa.int64()),
-        ("priority", pa.int32()),
-        ("seq", pa.int64()),
-        ("url_hash", pa.uint64()),
-    ]
-)
 
 # one chunk = (ready:int64, negp:int64, seq:int64, uh:uint64, loc:int64)
 _Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -103,37 +93,7 @@ class FrontierHeap:
         order = np.lexsort((s, p, r))
         return r[order], -p[order], s[order], u[order], loc[order]
 
-    def locators(self) -> tuple[np.ndarray, np.ndarray]:
-        """(seq, loc) of every entry, in storage order."""
-        chunk = self._consolidate()
-        return chunk[2], chunk[4]
-
-    # ---- checkpoint format -------------------------------------------------
-    def to_table(self) -> pa.Table:
-        ready, negp, seq, uh, _ = self._consolidate()
-        if not len(ready):
-            return ENTRY_SCHEMA.empty_table()
-        order = np.lexsort((uh.astype(np.int64), seq, negp, ready))
-        return pa.table(
-            {
-                "ready_time": pa.array(ready[order]),
-                "priority": pa.array((-negp[order]).astype(np.int32)),
-                "seq": pa.array(seq[order]),
-                "url_hash": pa.array(uh[order]),
-            },
-            schema=ENTRY_SCHEMA,
-        )
-
-    @classmethod
-    def from_table(cls, table: pa.Table, loc: np.ndarray) -> "FrontierHeap":
-        """The queue of a ``to_table`` snapshot; ``loc`` holds the payload
-        locator of each of its rows."""
-        obj = cls()
-        obj.push_bulk(
-            table.column("ready_time").to_numpy(zero_copy_only=False),
-            table.column("priority").to_numpy(zero_copy_only=False).astype(np.int64),
-            table.column("seq").to_numpy(zero_copy_only=False),
-            table.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64),
-            loc,
-        )
-        return obj
+    def entries(self) -> _Chunk:
+        """(ready, prio, seq, uh, loc) of every entry, in storage order."""
+        ready, negp, seq, uh, loc = self._consolidate()
+        return ready, -negp, seq, uh, loc

@@ -125,9 +125,19 @@ def test_checkpoint_roundtrip(tmp_path, small_world):
     state = ckpt.load_latest(d)
     assert len(state["shards"]) == cfg.n_partitions
     assert state["driver"]["epochs_done"] == 5
-    # shard state tables survive the parquet+IPC roundtrip
+    # shard state tables survive the parquet list<struct> roundtrip
+    import numpy as np
+
+    from gotenberg_ray.frontier.shard import PENDING_SCHEMA
+    from gotenberg_ray.state.politeness import BUCKET_SCHEMA
+
+    pending = [st["pending"] for st in state["shards"]]
+    assert all(p.schema.equals(PENDING_SCHEMA) for p in pending)
+    assert sum(p.num_rows for p in pending) > 0
+    for p in pending:
+        assert (np.diff(p.column("seq").to_numpy()) > 0).all()
     st = state["shards"][0]
-    assert st["heap"].num_rows >= 0 and st["buckets"].num_rows > 0
+    assert st["buckets"].schema.equals(BUCKET_SCHEMA) and st["buckets"].num_rows > 0
 
 
 def test_hot_host_salting_spreads_and_preserves_budget(ray_session, tmp_path):
@@ -337,6 +347,68 @@ def test_checkpoint_rewrite_is_atomic(small_world, tmp_path):
     assert leftovers == []
 
 
+def test_fresh_run_discards_an_earlier_runs_snapshots(small_world, tmp_path):
+    """A fresh crawl into a directory that holds a longer earlier run's
+    snapshots must leave only its own loadable: ``load_latest`` returns
+    the fresh run's last snapshot, not the earlier run's later epochs."""
+    import dataclasses
+    import json
+    import os
+
+    docs, frontier, robots, cfg = small_world
+    d = str(tmp_path / "ck")
+    run_crawl(
+        frontier, docs, robots, dataclasses.replace(cfg, max_epochs=10, checkpoint_every=1),
+        mode="local", checkpoint_dir=d,
+    )
+    assert ckpt.load_latest(d)["driver"]["epochs_done"] == 10
+    fresh = run_crawl(
+        frontier, docs, robots, dataclasses.replace(cfg, max_epochs=3, seed=43),
+        mode="local", checkpoint_dir=d,
+    )
+    state = ckpt.load_latest(d)
+    assert state["driver"]["epochs_done"] == fresh.epochs == 3
+    assert json.loads(state["driver"]["config"])["seed"] == 43
+    assert [e for e in os.listdir(d) if e.startswith("epoch=")] == [os.path.basename(state["dir"])]
+
+
+def test_old_format_snapshot_is_refused_by_name(small_world, tmp_path):
+    """A snapshot whose shard files hold the earlier heap/payloads blob
+    columns is refused with an error naming the format and the
+    directory, by ``load_latest`` and by a resume."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    docs, frontier, robots, cfg = small_world
+    ep = tmp_path / "ck" / "epoch=000003"
+    ep.mkdir(parents=True)
+    blob = pa.array([b"\x00" * 64], pa.binary())
+    pq.write_table(
+        pa.table({
+            "partition_id": pa.array([0], pa.int32()),
+            "cuckoo": blob,
+            "heap": blob,
+            "buckets": blob,
+            "payloads": blob,
+            "counters": pa.array([json.dumps({"offered": 0})]),
+            "delay_hosts": pa.array(["[]"]),
+        }),
+        str(ep / "shard_0000.parquet"),
+    )
+    driver = {"epoch": 3, "next_seq": 0, "fetch_seq": 0, "epochs_done": 3,
+              "config": cfg.to_json()}
+    (ep / "driver.json").write_text(json.dumps(driver))
+    (ep / "_COMPLETE").write_text("ok")
+    with pytest.raises(ValueError, match="old shard format") as err:
+        ckpt.load_latest(str(tmp_path / "ck"))
+    assert str(ep) in str(err.value)
+    with pytest.raises(ValueError, match="old shard format"):
+        run_crawl(frontier, docs, robots, cfg, mode="local",
+                  checkpoint_dir=str(tmp_path / "ck"), resume=True)
+
+
 def test_ray_matches_sequential_at_link_latency_3(ray_session, small_world):
     """link_latency_epochs=3 lets the pipelined shard step run two
     epochs ahead of the link generations it must deliver: the ray
@@ -358,8 +430,8 @@ def test_shard_seen_set_is_one_cuckoo_pass(tmp_path):
     over the seq-sorted batch calls new, minus robots denials — for a
     batch mixing fresh keys, keys seen in an earlier batch, in-batch
     duplicates and robots-denied rows, offered in shuffled seq order.
-    The checkpoint has no bloom entry and is byte-stable through
-    checkpoint → restore → checkpoint."""
+    The checkpoint is byte-stable through checkpoint → restore →
+    checkpoint."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -422,12 +494,9 @@ def test_shard_seen_set_is_one_cuckoo_pass(tmp_path):
     assert after["duplicate"] - before["duplicate"] == int((~fresh).sum()) == 6
     assert after["robots_denied"] - before["robots_denied"] == int((fresh & denied).sum()) == 3
     state = shard.checkpoint()
-    admitted = state["payloads"].column("seq").to_pylist()
+    admitted = state["pending"].column("seq").to_pylist()
     assert admitted == list(range(6)) + seqs[fresh & ~denied].tolist()
     assert shard.cuckoo.to_bytes() == ref.to_bytes()
-
-    assert "bloom" not in state
-    assert "bloom" not in ckpt.shard_state_to_table(state).column_names
 
     def snapshot_bytes(st, name):
         path = str(tmp_path / name)
@@ -445,8 +514,8 @@ def test_shard_restore_continues_like_the_uninterrupted_shard():
     shard grants and ends on the same snapshot bytes. The cut comes
     after partial grants (deep per-host queues, burst 1), with pending
     rows spread over several payload tables, one of them fully granted.
-    A snapshot whose heap entries and payload rows hold different seqs
-    is refused."""
+    A snapshot whose pending seqs are not strictly increasing is
+    refused."""
     import numpy as np
     import pyarrow as pa
 
@@ -491,7 +560,7 @@ def test_shard_restore_continues_like_the_uninterrupted_shard():
     first = a.pop_epoch(7)
     assert 0 < first.num_rows < 37 and 0 in first.column("seq").to_pylist()
     state = a.checkpoint()
-    assert state["payloads"].num_rows == len(a.heap) == 37 - first.num_rows
+    assert state["pending"].num_rows == len(a.heap) == 37 - first.num_rows
 
     b = make_shard()
     b.restore(state)
@@ -502,16 +571,15 @@ def test_shard_restore_continues_like_the_uninterrupted_shard():
         got, want = b.pop_epoch(horizon), a.pop_epoch(horizon)
         assert got.num_rows and got.equals(want)
         assert snapshot(b).equals(snapshot(a))
-    assert len(a.heap) == 0 and a.checkpoint()["payloads"].num_rows == 0
+    assert len(a.heap) == 0 and a.checkpoint()["pending"].num_rows == 0
 
-    heap = state["heap"]
+    pending = state["pending"]
     for bad in (
-        dict(state, payloads=state["payloads"].slice(1)),  # a heap entry without payload
-        dict(state, heap=heap.slice(1)),  # a payload row without heap entry
-        dict(state, heap=pa.concat_tables([heap.slice(1), heap.slice(1, 1)])),  # one seq twice
+        pa.concat_tables([pending.slice(1, 1), pending.slice(0, 1), pending.slice(2)]),
+        pa.concat_tables([pending.slice(0, 2), pending.slice(1)]),  # one seq twice
     ):
-        with pytest.raises(ValueError, match="heap entries"):
-            make_shard().restore(bad)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            make_shard().restore(dict(state, pending=bad))
 
 
 def _count_writes(monkeypatch) -> list:
@@ -551,11 +619,11 @@ def test_checkpoint_every_epoch_writes_each_snapshot_once(small_world, tmp_path,
 
 
 # sha256 of the small-world crawl's fetch log (Arrow IPC, one chunk) and
-# of its final snapshot's per-shard state bytes (the cuckoo table and the
-# heap, buckets and payloads IPC tables). A refactor of the scheduler
-# must leave every one of them unchanged; a change of the schedule or of
-# the snapshot format moves them, and must say why. Parquet file hashes
-# are not pinned: they embed the writer version.
+# of its final snapshot's decoded per-shard state, in the byte layout the
+# snapshots had when these were pinned (``_pinned_layout``). A refactor of
+# the scheduler or of the snapshot format must leave every one of them
+# unchanged; a change of the schedule moves them, and must say why.
+# Parquet file hashes are not pinned: they embed the writer version.
 _PINNED_FETCH_LOG = "741a4ca920a9d945dfd68f0efe748b4225b716cb091691547a5aca68d8a44fe7"
 _PINNED_SHARD_STATE = {
     "0/cuckoo": "7eed6bf373d1dc8e882da451eeb012462be28797c6a8d4cbf193394eb63368c8",
@@ -577,15 +645,50 @@ _PINNED_SHARD_STATE = {
 }
 
 
+def _ipc(table):
+    import pyarrow as pa
+
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+def _pinned_layout(state: dict) -> dict[str, bytes]:
+    """A decoded shard state in the pinned byte layout: the cuckoo as its
+    32-byte header plus the full slot table; the queue entries
+    (ready_time, priority, seq, url_hash) in (ready, -priority, seq)
+    order, the politeness buckets, and the payload columns with seq in
+    seq order, each as an Arrow IPC stream."""
+    import numpy as np
+
+    from gotenberg_ray.frontier.shard import PAYLOAD_COLUMNS
+    from gotenberg_ray.state.cuckoo import CuckooFilter
+
+    cf = CuckooFilter.from_bytes(state["cuckoo"])
+    header = np.array([cf.n_buckets, int(cf.seed), cf.count, cf.kicks], dtype=np.int64)
+    p = state["pending"].combine_chunks()
+    key = np.lexsort((
+        p.column("seq").to_numpy(),
+        -p.column("priority").to_numpy().astype(np.int64),
+        p.column("ready_time").to_numpy(),
+    ))
+    heap = p.select(["ready_time", "priority", "seq", "url_hash"]).take(key)
+    return {
+        "cuckoo": header.tobytes() + cf.table.tobytes(),
+        "heap": _ipc(heap),
+        "buckets": _ipc(state["buckets"]),
+        "payloads": _ipc(p.select(["seq", *PAYLOAD_COLUMNS])),
+    }
+
+
 def test_local_crawl_matches_pinned_digests(small_world, tmp_path):
     """The scheduler's output bytes stay put: fetch order, admission,
-    politeness and the snapshot format all feed these digests."""
+    politeness and the decoded snapshot state all feed these digests."""
     import dataclasses
     import hashlib
-    import os
 
     import pyarrow as pa
-    import pyarrow.parquet as pq
 
     docs, frontier, robots, cfg = small_world
     cfg = dataclasses.replace(cfg, checkpoint_every=1)
@@ -596,14 +699,10 @@ def test_local_crawl_matches_pinned_digests(small_world, tmp_path):
     with pa.ipc.new_stream(sink, log.schema) as w:
         w.write_table(log)
     assert hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest() == _PINNED_FETCH_LOG
-    ep = ckpt.latest_epoch_dir(d)
     got = {}
-    for f in sorted(os.listdir(ep)):
-        if f.startswith("shard_"):
-            t = pq.read_table(os.path.join(ep, f))
-            pid = t.column("partition_id")[0].as_py()
-            for c in ("cuckoo", "heap", "buckets", "payloads"):
-                got[f"{pid}/{c}"] = hashlib.sha256(t.column(c)[0].as_py()).hexdigest()
+    for st in ckpt.load_latest(d)["shards"]:
+        for part, raw in _pinned_layout(st).items():
+            got[f"{st['partition_id']}/{part}"] = hashlib.sha256(raw).hexdigest()
     assert got == _PINNED_SHARD_STATE
 
 

@@ -62,6 +62,48 @@ def test_cuckoo_deterministic_serialization():
     assert c.to_bytes() == a.to_bytes()
 
 
+def _filled(capacity, n, seed=5):
+    cf = CuckooFilter(capacity, seed=seed)
+    if n:
+        cf.add_if_absent((np.arange(n, dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15))
+    return cf
+
+
+@pytest.mark.parametrize(
+    "capacity, n",
+    [(1 << 12, 0), (1 << 12, 40), (256, 300), (256, 480)],
+    ids=["empty", "sparse", "evicted", "nearly-full"],
+)
+def test_cuckoo_bytes_roundtrip_keeps_state_and_decisions(capacity, n):
+    """from_bytes(to_bytes()) is the same filter: table, fill, count and
+    kick counter, and the same answers to later inserts (eviction victims
+    depend on the kick counter), for an empty, a sparse, an evicted and a
+    nearly full filter."""
+    a = _filled(capacity, n)
+    assert a.kicks > 0 if n >= 300 else a.kicks == 0
+    if n == 480:
+        assert a.count > 0.9 * a.n_buckets * 4
+    b = CuckooFilter.from_bytes(a.to_bytes())
+    assert (b.n_buckets, int(b.seed), b.count, b.kicks) == (a.n_buckets, int(a.seed), a.count, a.kicks)
+    assert np.array_equal(b.table, a.table) and np.array_equal(b.fill, a.fill)
+    assert b.fill.dtype == a.fill.dtype
+    # 20 fresh keys with 10 seen ones (when there are any) in between
+    keys = (np.arange(max(n - 10, 0), n + 20, dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+    later = np.random.default_rng(n).permutation(keys)
+    want = a.add_if_absent(later)
+    assert np.array_equal(b.add_if_absent(later), want) and want.sum() == 20
+    assert (b.count, b.kicks) == (a.count, a.kicks) and b.to_bytes() == a.to_bytes()
+
+
+def test_cuckoo_bytes_scale_with_occupancy():
+    """An empty filter serializes to its header and one fill byte per
+    bucket, not its slot table; each stored key adds two bytes."""
+    empty = CuckooFilter(1 << 20, seed=1)
+    assert len(empty.to_bytes()) < 2 * empty.n_buckets + 64
+    sparse = _filled(1 << 20, 1000)
+    assert len(sparse.to_bytes()) == len(empty.to_bytes()) + 2 * sparse.count
+
+
 def _push(h, rows):
     """Push [(ready, priority, seq, url_hash)] as one chunk; loc = 1000 + seq."""
     r, p, s, u = (np.array(c) for c in zip(*rows))
@@ -84,30 +126,35 @@ def test_heap_pops_in_key_order():
     assert len(h.pop_ready_bulk(horizon=10)[0]) == 0
 
 
+def _by_seq(h):
+    ready, prio, seq, uh, loc = h.entries()
+    o = np.argsort(seq)
+    return [c[o].tolist() for c in (ready, prio, seq, uh, loc)]
+
+
 def test_heap_canonical_serialization():
+    """The entries a shard snapshots (``entries()`` in seq order) are a
+    function of the entry set alone, whatever the push history; a
+    popped entry re-keyed by push-back looks like one pushed there."""
     a, b = FrontierHeap(), FrontierHeap()
     rows = [(3, 1, 1, 10), (1, 2, 2, 11), (2, 3, 3, 12)]
     _push(a, rows)
     _push(b, rows[2:])
     _push(b, rows[:2])
-    assert a.to_table().equals(b.to_table())
-    # a popped entry re-keyed by push-back serializes like one pushed there
+    assert _by_seq(a) == _by_seq(b)
     r, p, s, u, loc = b.pop_ready_bulk(horizon=1)
     b.push_bulk(r + 2, p, s, u, loc)
     c = FrontierHeap()
     _push(c, [(3, 1, 1, 10), (3, 2, 2, 11), (2, 3, 3, 12)])
-    assert b.to_table().equals(c.to_table())
-    seq = a.to_table().column("seq").to_numpy()
-    d = FrontierHeap.from_table(a.to_table(), 1000 + seq)
-    assert d.to_table().equals(a.to_table())
-    assert sorted(zip(*(x.tolist() for x in d.locators()))) == [(1, 1001), (2, 1002), (3, 1003)]
+    assert _by_seq(b) == _by_seq(c)
+    assert _by_seq(c)[4] == [1001, 1002, 1003]  # locators ride with their entries
 
 
 def test_heap_big_hash_roundtrips():
     h = FrontierHeap()
     big = 0xD6E8FEB86659FD93  # ≥ 2^63
     _push(h, [(0, 1, 7, big)])
-    assert h.to_table().column("url_hash").to_pylist() == [big]
+    assert h.entries()[3].tolist() == [big]
     assert h.pop_ready_bulk(0)[3].tolist() == [big]
 
 
