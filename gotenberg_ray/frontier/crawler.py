@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import time
 from typing import Callable
 
@@ -416,14 +417,6 @@ def admit_seed_frontier_collect(handle) -> tuple[pa.Table, pa.Table]:
     accepted = pa.concat_tables([p[0] for p in parts])
     rejected = pa.concat_tables([p[1] for p in parts])
     return accepted, rejected
-
-
-def admit_seed_frontier(
-    frontier: pa.Table, url_filter, parallel: bool, chunk_rows: int = 16_384
-) -> tuple[pa.Table, pa.Table]:
-    return admit_seed_frontier_collect(
-        admit_seed_frontier_async(frontier, url_filter, parallel, chunk_rows)
-    )
 
 
 def partition_of(
@@ -997,6 +990,34 @@ def _link_specs(
     return specs
 
 
+_PAGE_EPOCH_DIR = re.compile(r"epoch=\d+")
+_PAGE_PART = re.compile(r"part-\d+\.parquet")
+_LOG_FILE = re.compile(r"epoch=\d+\.parquet")
+
+
+def _clear_page_parts(epoch_dir: str) -> None:
+    """Delete the page part files of one ``epoch=NNNNNN`` dir."""
+    for f in os.listdir(epoch_dir):
+        if _PAGE_PART.fullmatch(f):
+            os.unlink(os.path.join(epoch_dir, f))
+
+
+def _clear_earlier_output(pages_dir: str, log_dir: str) -> None:
+    """Delete an earlier run's page parts (``epoch=NNNNNN/part-*.parquet``
+    under ``pages_dir``, and each epoch dir that this empties) and its
+    fetch-log files (``epoch=NNNNNN.parquet`` under ``log_dir``). Other
+    files stay."""
+    for e in os.listdir(pages_dir) if os.path.isdir(pages_dir) else ():
+        d = os.path.join(pages_dir, e)
+        if _PAGE_EPOCH_DIR.fullmatch(e) and os.path.isdir(d):
+            _clear_page_parts(d)
+            if not os.listdir(d):
+                os.rmdir(d)
+    for f in os.listdir(log_dir) if os.path.isdir(log_dir) else ():
+        if _LOG_FILE.fullmatch(f):
+            os.unlink(os.path.join(log_dir, f))
+
+
 def run_crawl(
     frontier: pa.Table,
     docs: pa.Table,
@@ -1055,9 +1076,10 @@ def run_crawl(
     # and log files carry an int64 ``epoch`` column that would collide
     # with the string partition field during schema unification.
     logs: list[pa.Table] = []
+    log_dir = pages_dir.rstrip("/") + "_fetch_log" if pages_dir is not None else None
     fetch_log_dir: str | None = None
-    if log_sink is None and pages_dir is not None and cfg.detailed_logs:
-        fetch_log_dir = pages_dir.rstrip("/") + "_fetch_log"
+    if log_sink is None and log_dir is not None and cfg.detailed_logs:
+        fetch_log_dir = log_dir
         os.makedirs(fetch_log_dir, exist_ok=True)
 
         def log_sink(t: pa.Table, _d=fetch_log_dir) -> None:
@@ -1078,6 +1100,9 @@ def run_crawl(
             # an earlier run's snapshots (later epochs than this run may
             # reach) must not be what a resume of this run loads
             ckpt.clear(checkpoint_dir)
+        if pages_dir is not None:
+            # nor may its pages and fetch log sit beside this run's
+            _clear_earlier_output(pages_dir, log_dir)
         # seed admission is a pure function of (rows, filter). Raw seed
         # lists are messy (mixed case, ports, fragments), so most rows
         # take the per-row RFC-3986 parser — ~60µs/URL of driver time.
@@ -1243,9 +1268,7 @@ def run_crawl(
             # hive layout would otherwise return those rows twice
             ed = f"{pages_dir}/epoch={k:06d}"
             if os.path.isdir(ed):
-                for f in os.listdir(ed):
-                    if f.startswith("part-") and f.endswith(".parquet"):
-                        os.unlink(os.path.join(ed, f))
+                _clear_page_parts(ed)
         handle = runner.dispatch(popped, k)
         # the previous epoch ran under this epoch's step and dispatch;
         # fold it now so its links land before the next step is issued

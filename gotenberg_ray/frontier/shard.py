@@ -6,13 +6,13 @@ Each shard owns, for its partition of the host space:
   of it would save no probe, since a key it calls new must still be
   inserted),
 - the bulk-pop priority queue keyed (ready_time, priority desc, seq),
-  whose entries also locate their pending-URL payload rows,
+  whose entries are the pending URLs themselves: one
+  ``PENDING_SCHEMA`` row each, queue key and payload together,
 - per-host politeness token buckets + the robots.txt cache,
-- the pending-URL payload tables and counters.
+- its counters.
 
-A snapshot holds the queue and the payloads as one ``pending`` table in
-seq order (``PENDING_SCHEMA``), so there is one record per pending URL
-on disk as in memory.
+A snapshot holds the queue as one ``pending`` table in seq order, so
+there is one record per pending URL on disk as in memory.
 
 Partitioning is ``fnv64(host) % P`` so a host's politeness state and
 all its URLs are local to one shard (the groupby-host politeness
@@ -37,37 +37,18 @@ import numpy as np
 import pyarrow as pa
 
 from ..state.cuckoo import CuckooFilter
-from ..state.heap import FrontierHeap
+from ..state.heap import PENDING_SCHEMA, FrontierHeap
 from ..state.politeness import HostBuckets
 from ..state.robots import RobotsCache
 
-GRANT_SCHEMA = pa.schema(
-    [
-        ("seq", pa.int64()),
-        ("fetch_time", pa.int64()),
-        ("priority", pa.int32()),
-        ("url_hash", pa.uint64()),
-        ("url_canon", pa.string()),
-        ("host", pa.string()),
-        ("route", pa.string()),
-        ("doc_id", pa.string()),
-        ("options_json", pa.string()),
-    ]
-)
+# a granted pending URL: its ready_time became its fetch_time
+GRANT_SCHEMA = PENDING_SCHEMA.set(1, pa.field("fetch_time", pa.int64()))
 
 # the columns a pending URL carries besides its queue key
-PAYLOAD_COLUMNS = ["url_canon", "host", "route", "doc_id", "options_json"]
+PAYLOAD_COLUMNS = PENDING_SCHEMA.names[4:]
 
-# a snapshot's pending URLs: the queue entry, then the payload
-PENDING_SCHEMA = pa.schema(
-    [
-        ("seq", pa.int64()),
-        ("ready_time", pa.int64()),
-        ("priority", pa.int32()),
-        ("url_hash", pa.uint64()),
-        *(GRANT_SCHEMA.field(c) for c in PAYLOAD_COLUMNS),
-    ]
-)
+# the offered columns a pending row is made of, in PENDING_SCHEMA order
+_QUEUED_COLUMNS = ["seq", "next_fetch_time", "priority", "url_hash", *PAYLOAD_COLUMNS]
 
 COUNTER_KEYS = ("offered", "admitted", "duplicate", "robots_denied", "granted")
 
@@ -85,8 +66,6 @@ class FrontierShard:
         salt_k: int = 1,
     ):
         self.partition_id = int(partition_id)
-        self.seed = int(seed)
-        self.capacity = int(capacity)
         self.default_delay = int(default_delay)
         self.burst = int(burst)
         self.salt_hosts = tuple(salt_hosts)
@@ -101,13 +80,6 @@ class FrontierShard:
         )
         robots_texts = robots_texts or {}
         self.robots = RobotsCache(robots_texts.get)
-        # pending-URL payloads: admitted rows stay in their Arrow tables,
-        # and each heap entry carries its row's locator (table_idx << 32 |
-        # row_idx) — the heap entry is the only record of a pending URL.
-        # _plive counts each table's rows still in the heap. Strings never
-        # become Python objects between admission and grant.
-        self._ptables: list[pa.Table | None] = []
-        self._plive = np.empty(0, dtype=np.int64)
         self.counters = dict.fromkeys(COUNTER_KEYS, 0)
         self._delay_set: set[str] = set()  # hosts whose crawl-delay is applied
         self._pending: list[pa.Table] = []  # buffered offers, applied at flush
@@ -171,7 +143,7 @@ class FrontierShard:
         self._pending = []
         self._apply_offer(merged.sort_by([("seq", "ascending")]))
 
-    def _apply_offer(self, batch: pa.Table) -> dict:
+    def _apply_offer(self, batch: pa.Table) -> None:
         """Admit candidate URLs: seen-dedup (cuckoo), robots gate,
         heap insert — all vectorized. Batch columns: url_canon, url_hash,
         host, path, priority, next_fetch_time, route, doc_id,
@@ -184,12 +156,12 @@ class FrontierShard:
         n = batch.num_rows
         self.counters["offered"] += n
         if n == 0:
-            return dict(self.counters)
+            return
         hashes = batch.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
         fresh = self.cuckoo.add_if_absent(hashes)
         self.counters["duplicate"] += int(n - fresh.sum())
         if not fresh.any():
-            return dict(self.counters)
+            return
 
         sub = batch.take(pa.array(np.nonzero(fresh)[0]))
         m = sub.num_rows
@@ -248,50 +220,13 @@ class FrontierShard:
                         self.buckets.set_delay(host, cd)
         self.counters["robots_denied"] += int(m - allowed.sum())
         if not allowed.any():
-            return dict(self.counters)
+            return
         adm = sub.filter(pa.array(allowed))
-        k = adm.num_rows
-        self.counters["admitted"] += k
-
-        ti = len(self._ptables)
-        self._ptables.append(adm.select(PAYLOAD_COLUMNS))
-        self._plive = np.append(self._plive, k)
-        self.heap.push_bulk(
-            adm.column("next_fetch_time").to_numpy(zero_copy_only=False),
-            adm.column("priority").to_numpy(zero_copy_only=False).astype(np.int64),
-            adm.column("seq").to_numpy(zero_copy_only=False),
-            adm.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64),
-            np.arange(k, dtype=np.int64) + (ti << 32),
-        )
-        return dict(self.counters)
+        self.counters["admitted"] += adm.num_rows
+        queued = adm.select(_QUEUED_COLUMNS).columns
+        self.heap.push_bulk(pa.Table.from_arrays(queued, schema=PENDING_SCHEMA))
 
     # ------------------------------------------------------------------- pop
-    def _gather_payload(self, locs: np.ndarray, columns: list[str] = PAYLOAD_COLUMNS) -> pa.Table:
-        """``columns`` of the payload rows at ``locs`` (in that order) —
-        one take() per source table plus one reorder take."""
-        order = np.argsort(locs, kind="stable")
-        sorted_locs = locs[order]
-        tis = sorted_locs >> 32
-        ris = sorted_locs & 0xFFFFFFFF
-        bounds = np.nonzero(np.r_[True, tis[1:] != tis[:-1]])[0]
-        ends = np.r_[bounds[1:], len(tis)]
-        parts = [
-            self._ptables[int(tis[a])].select(columns).take(pa.array(ris[a:b]))
-            for a, b in zip(bounds, ends)
-        ]
-        merged = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-        inv = np.empty(len(order), dtype=np.int64)
-        inv[order] = np.arange(len(order))
-        return merged.take(pa.array(inv))
-
-    def _release_payload(self, locs: np.ndarray) -> None:
-        """Count granted rows out of their tables; a table none of whose
-        rows is left in the heap is freed."""
-        gone = np.bincount(locs >> 32, minlength=len(self._plive))
-        self._plive -= gone
-        for ti in np.flatnonzero((self._plive == 0) & (gone > 0)).tolist():
-            self._ptables[ti] = None
-
     def pop_epoch(self, horizon: int) -> pa.Table:
         """Grant fetches for every heap entry ready by ``horizon``.
 
@@ -304,34 +239,24 @@ class FrontierShard:
         slots advance monotonically, so grant order per host follows pop
         order; globally the caller sorts by (fetch_time, -priority, seq)."""
         self.flush()
-        ready, prio, seq, uh, loc = self.heap.pop_ready_bulk(horizon)
-        n = len(ready)
+        popped = self.heap.pop_ready_bulk(horizon)
+        n = popped.num_rows
         if n == 0:
             return GRANT_SCHEMA.empty_table()
-        # the grant decision reads only the host; most popped entries
-        # are pushed back, so the rest of the payload waits for the grants
-        hosts = self._gather_payload(loc, ["host"]).column("host")
         slots, granted = self.buckets.grant(
-            hosts.to_numpy(zero_copy_only=False).tolist(), ready, horizon
+            popped.column("host").to_numpy(zero_copy_only=False).tolist(),
+            popped.column("ready_time").to_numpy(),
+            horizon,
         )
         n_grant = int(granted.sum())
         self.counters["granted"] += n_grant
+        # a missed row waits for its slot; a granted one is fetched at it
+        rows = popped.set_column(1, "ready_time", pa.array(slots, pa.int64()))
         if n_grant < n:
-            nb = ~granted
-            self.heap.push_bulk(slots[nb], prio[nb], seq[nb], uh[nb], loc[nb])
+            self.heap.push_bulk(rows.filter(~granted))
         if n_grant == 0:
             return GRANT_SCHEMA.empty_table()
-        g = np.nonzero(granted)[0]
-        gp = self._gather_payload(loc[g])
-        self._release_payload(loc[g])
-        arrays = [
-            pa.array(seq[g]),
-            pa.array(slots[g]),
-            pa.array(prio[g].astype(np.int32)),
-            pa.array(uh[g]),
-            *gp.columns,
-        ]
-        return pa.Table.from_arrays(arrays, schema=GRANT_SCHEMA)
+        return rows.filter(granted).rename_columns(GRANT_SCHEMA.names)
 
     def offer_and_pop(self, generations: list[tuple], horizon: int):
         """The actor's one round trip per epoch: deliver every due link
@@ -359,27 +284,10 @@ class FrontierShard:
         """Canonical state snapshot (bit-identical across orchestrations):
         the pending URLs are one table in seq order."""
         self.flush()  # pending offers are part of the state
-        ready, prio, seq, uh, loc = self.heap.entries()
-        if len(seq):
-            order = np.argsort(seq)
-            # the live payload rows are exactly the rows the heap points at
-            payload = self._gather_payload(loc[order])
-            pending = pa.Table.from_arrays(
-                [
-                    pa.array(seq[order]),
-                    pa.array(ready[order]),
-                    pa.array(prio[order].astype(np.int32)),
-                    pa.array(uh[order]),
-                    *payload.columns,
-                ],
-                schema=PENDING_SCHEMA,
-            )
-        else:
-            pending = PENDING_SCHEMA.empty_table()
         return {
             "partition_id": self.partition_id,
             "cuckoo": self.cuckoo.to_bytes(),
-            "pending": pending,
+            "pending": self.heap.entries().sort_by("seq"),
             "buckets": self.buckets.to_table(),
             "counters": dict(self.counters),
             "delay_hosts": sorted(self._delay_set),
@@ -395,15 +303,8 @@ class FrontierShard:
                 f"the seqs of its {len(seq)} pending rows are not strictly increasing"
             )
         self.cuckoo = CuckooFilter.from_bytes(state["cuckoo"])
-        # the heap locates row i of the one payload table as i
         self.heap = FrontierHeap()
-        self.heap.push_bulk(
-            p.column("ready_time").to_numpy(zero_copy_only=False),
-            p.column("priority").to_numpy(zero_copy_only=False).astype(np.int64),
-            seq,
-            p.column("url_hash").to_numpy(zero_copy_only=False),
-            np.arange(len(seq), dtype=np.int64),
-        )
+        self.heap.push_bulk(p)
         self.buckets = HostBuckets.from_table(
             state["buckets"],
             default_delay=self.default_delay,
@@ -411,7 +312,5 @@ class FrontierShard:
             salted=frozenset(self.salt_hosts),
             salt_k=self.salt_k,
         )
-        self._ptables = [p.select(PAYLOAD_COLUMNS)]
-        self._plive = np.array([p.num_rows], dtype=np.int64)
         self.counters = dict(state["counters"])
         self._delay_set = set(state["delay_hosts"])

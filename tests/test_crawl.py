@@ -246,12 +246,9 @@ def test_auto_salt_detects_hot_host(ray_session, tmp_path):
     auto = dataclasses.replace(base, auto_salt=True)
 
     # the decision itself: MG over the admitted seed hosts
-    from gotenberg_ray.frontier.crawler import (
-        UrlFilter,
-        admit_seed_frontier,
-    )
+    from gotenberg_ray.frontier.crawler import UrlFilter, admit_candidates
 
-    accepted, _ = admit_seed_frontier(frontier, UrlFilter([], []), parallel=False)
+    accepted, _ = admit_candidates(frontier, UrlFilter([], []))
     resolved = resolve_auto_salt(auto, accepted)
     assert HOT_HOST in resolved.salt_hosts
     assert resolved.salt_k == 2  # 50% share over 4 shards = 2 fair shares
@@ -370,6 +367,37 @@ def test_fresh_run_discards_an_earlier_runs_snapshots(small_world, tmp_path):
     assert state["driver"]["epochs_done"] == fresh.epochs == 3
     assert json.loads(state["driver"]["config"])["seed"] == 43
     assert [e for e in os.listdir(d) if e.startswith("epoch=")] == [os.path.basename(state["dir"])]
+
+
+def test_fresh_run_discards_an_earlier_runs_pages_and_fetch_log(small_world, tmp_path):
+    """A fresh crawl into page and log directories that hold a longer
+    earlier run's output leaves exactly what the same crawl writes into
+    empty directories; a file that is neither a page part nor a log
+    file stays."""
+    import dataclasses
+
+    docs, frontier, robots, cfg = small_world
+    pages = str(tmp_path / "pages")
+    run_crawl(
+        frontier, docs, robots, dataclasses.replace(cfg, max_epochs=10, checkpoint_every=1),
+        mode="local", checkpoint_dir=str(tmp_path / "ck"), pages_dir=pages,
+    )
+    (tmp_path / "pages" / "README").write_text("kept")
+    again = dataclasses.replace(cfg, max_epochs=3, seed=43)
+    fresh = run_crawl(
+        frontier, docs, robots, again, mode="local",
+        checkpoint_dir=str(tmp_path / "ck"), pages_dir=pages,
+    )
+    clean = str(tmp_path / "clean")
+    want = run_crawl(frontier, docs, robots, again, mode="local", pages_dir=clean)
+    assert fresh.epochs == want.epochs == 3
+    assert (tmp_path / "pages" / "README").read_text() == "kept"
+    (tmp_path / "pages" / "README").unlink()
+    for ours, theirs in ((pages, clean), (pages + "_fetch_log", clean + "_fetch_log")):
+        got, exp = _parquet_files(ours), _parquet_files(theirs)
+        assert sorted(got) == sorted(exp)
+        for name in exp:
+            assert got[name].equals(exp[name]), name
 
 
 def test_old_format_snapshot_is_refused_by_name(small_world, tmp_path):
@@ -513,7 +541,7 @@ def test_shard_restore_continues_like_the_uninterrupted_shard():
     """checkpoint → restore → pop_epoch grants what the never-restored
     shard grants and ends on the same snapshot bytes. The cut comes
     after partial grants (deep per-host queues, burst 1), with pending
-    rows spread over several payload tables, one of them fully granted.
+    rows from several offers, one of them fully granted.
     A snapshot whose pending seqs are not strictly increasing is
     refused."""
     import numpy as np

@@ -1,9 +1,11 @@
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from gotenberg_ray.state.bloom import BloomFilter
 from gotenberg_ray.state.cuckoo import CuckooFilter
-from gotenberg_ray.state.heap import FrontierHeap
+from gotenberg_ray.state.heap import PENDING_SCHEMA, FrontierHeap
 from gotenberg_ray.state.politeness import HostBuckets
 from gotenberg_ray.state.robots import RobotsCache, parse_robots
 
@@ -104,32 +106,42 @@ def test_cuckoo_bytes_scale_with_occupancy():
     assert len(sparse.to_bytes()) == len(empty.to_bytes()) + 2 * sparse.count
 
 
-def _push(h, rows):
-    """Push [(ready, priority, seq, url_hash)] as one chunk; loc = 1000 + seq."""
-    r, p, s, u = (np.array(c) for c in zip(*rows))
-    h.push_bulk(r, p, s, u.astype(np.uint64), 1000 + s)
+def _pending(rows):
+    """[(ready, priority, seq, url_hash)] as PENDING_SCHEMA rows whose
+    payload strings are a function of seq."""
+    r, p, s, u = (list(c) for c in zip(*rows))
+    return pa.Table.from_arrays(
+        [
+            pa.array(s, pa.int64()),
+            pa.array(r, pa.int64()),
+            pa.array(p, pa.int32()),
+            pa.array(u, pa.uint64()),
+            pa.array([f"http://h{x % 3}.example/p/{x}" for x in s]),
+            pa.array([f"h{x % 3}.example" for x in s]),
+            pa.array(["convert/url", "convert/html"][x % 2] for x in s),
+            pa.array([f"doc-{x:06d}" for x in s]),
+            pa.array([f'{{"landscape": {x % 2}}}' for x in s]),
+        ],
+        schema=PENDING_SCHEMA,
+    )
 
 
 def test_heap_pops_in_key_order():
     h = FrontierHeap()
-    _push(h, [(5, 1, 10, 100), (3, 0, 11, 101)])
-    _push(h, [(3, 9, 12, 102), (3, 9, 9, 103)])
-    ready, prio, seq, uh, loc = h.pop_ready_bulk(horizon=4)
+    h.push_bulk(_pending([(5, 1, 10, 100), (3, 0, 11, 101)]))
+    h.push_bulk(_pending([(3, 9, 12, 102), (3, 9, 9, 103)]))
+    popped = h.pop_ready_bulk(horizon=4)
     # ready=3 first; among those priority desc, then seq asc
-    assert seq.tolist() == [9, 12, 11]
-    assert prio.tolist() == [9, 9, 0]
-    assert uh.tolist() == [103, 102, 101]
-    assert loc.tolist() == [1009, 1012, 1011]  # locators ride with their entries
+    assert popped.schema.equals(PENDING_SCHEMA)
+    assert popped.column("seq").to_pylist() == [9, 12, 11]
+    assert popped.column("priority").to_pylist() == [9, 9, 0]
+    assert popped.column("url_hash").to_pylist() == [103, 102, 101]
+    # each payload rides with its entry
+    assert popped.column("doc_id").to_pylist() == ["doc-000009", "doc-000012", "doc-000011"]
     assert len(h) == 1 and h.peek_ready_time() == 5
-    assert [c.tolist() for c in h.pop_ready_bulk(horizon=10)] == [[5], [1], [10], [100], [1010]]
+    assert h.pop_ready_bulk(horizon=10).equals(_pending([(5, 1, 10, 100)]))
     assert len(h) == 0 and h.peek_ready_time() is None
-    assert len(h.pop_ready_bulk(horizon=10)[0]) == 0
-
-
-def _by_seq(h):
-    ready, prio, seq, uh, loc = h.entries()
-    o = np.argsort(seq)
-    return [c[o].tolist() for c in (ready, prio, seq, uh, loc)]
+    assert h.pop_ready_bulk(horizon=10).num_rows == 0
 
 
 def test_heap_canonical_serialization():
@@ -138,24 +150,36 @@ def test_heap_canonical_serialization():
     popped entry re-keyed by push-back looks like one pushed there."""
     a, b = FrontierHeap(), FrontierHeap()
     rows = [(3, 1, 1, 10), (1, 2, 2, 11), (2, 3, 3, 12)]
-    _push(a, rows)
-    _push(b, rows[2:])
-    _push(b, rows[:2])
-    assert _by_seq(a) == _by_seq(b)
-    r, p, s, u, loc = b.pop_ready_bulk(horizon=1)
-    b.push_bulk(r + 2, p, s, u, loc)
+    a.push_bulk(_pending(rows))
+    b.push_bulk(_pending(rows[2:]))
+    b.push_bulk(_pending(rows[:2]))
+    assert a.entries().sort_by("seq").equals(b.entries().sort_by("seq"))
+    popped = b.pop_ready_bulk(horizon=1)
+    b.push_bulk(popped.set_column(1, "ready_time", pc.add(popped.column("ready_time"), 2)))
     c = FrontierHeap()
-    _push(c, [(3, 1, 1, 10), (3, 2, 2, 11), (2, 3, 3, 12)])
-    assert _by_seq(b) == _by_seq(c)
-    assert _by_seq(c)[4] == [1001, 1002, 1003]  # locators ride with their entries
+    c.push_bulk(_pending([(3, 1, 1, 10), (3, 2, 2, 11), (2, 3, 3, 12)]))
+    assert b.entries().sort_by("seq").equals(c.entries().sort_by("seq"))
+
+
+def test_heap_requeue_keeps_payload_bytes():
+    """An entry popped and pushed back at a new ready_time keeps every
+    payload column byte for byte."""
+    h = FrontierHeap()
+    h.push_bulk(_pending([(0, 2, 4, 0xFFFFFFFFFFFFFFFF), (0, 1, 5, 7), (6, 0, 6, 8)]))
+    popped = h.pop_ready_bulk(horizon=0)
+    h.push_bulk(popped.set_column(1, "ready_time", pa.array([9, 9], pa.int64())))
+    again = h.pop_ready_bulk(horizon=9)
+    assert again.column("seq").to_pylist() == [6, 4, 5]
+    payload = ["url_hash", *PENDING_SCHEMA.names[4:]]
+    assert again.slice(1).select(payload).equals(popped.select(payload))
 
 
 def test_heap_big_hash_roundtrips():
     h = FrontierHeap()
     big = 0xD6E8FEB86659FD93  # ≥ 2^63
-    _push(h, [(0, 1, 7, big)])
-    assert h.entries()[3].tolist() == [big]
-    assert h.pop_ready_bulk(0)[3].tolist() == [big]
+    h.push_bulk(_pending([(0, 1, 7, big)]))
+    assert h.entries().column("url_hash").to_pylist() == [big]
+    assert h.pop_ready_bulk(0).column("url_hash").to_pylist() == [big]
 
 
 class _LoopBucket:
