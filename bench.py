@@ -278,7 +278,6 @@ def bench_crawl(num_cpus: int) -> dict:
         fetch_concurrency=concurrency,
         fetch_num_cpus=1,
         shard_num_cpus=shard_cpus,
-        fetch_batch_size=4096,
         detailed_logs=False,  # bench: workers skip per-row log columns
     )
     pages_dir = tempfile.mkdtemp(prefix="gotenberg_ray_bench_")

@@ -3,12 +3,14 @@ reference service, for users driving it outside a Python session:
 
     python -m gotenberg_ray convert  IN_PARQUET OUT_DIR
     python -m gotenberg_ray crawl    SF_DIR PAGES_DIR [--fetches N]
+                                     [--checkpoint-dir D [--resume]]
     python -m gotenberg_ray query    NAME [--sf-dir DIR]
     python -m gotenberg_ray list
     python -m gotenberg_ray curate   SF_DIR OUT_DIR [--ctx N]
 
-The CLI owns the Ray session (guarded init, shutdown at exit) — the
-library itself never calls ray.init (driver contract).
+The CLI owns the Ray session it starts (guarded init, shutdown at
+exit); a caller's session is used and left running — the library
+itself never calls ray.init (driver contract).
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ def cmd_crawl(args) -> int:
         max_fetches=args.fetches,
         seed=args.seed,
     )
-    res = run_crawl(frontier, docs, robots, cfg, mode="ray", pages_dir=args.pages_dir)
+    res = run_crawl(
+        frontier, docs, robots, cfg, mode="ray", pages_dir=args.pages_dir,
+        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+    )
     print(
         json.dumps(
             {
@@ -163,6 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     c.add_argument("--hosts", type=int, default=20)
     c.add_argument("--partitions", type=int, default=4)
     c.add_argument("--seed", type=int, default=42)
+    c.add_argument("--checkpoint-dir", dest="checkpoint_dir",
+                   help="snapshot the crawl state here (at the end)")
+    c.add_argument("--resume", action="store_true",
+                   help="continue from the newest complete snapshot in --checkpoint-dir")
     c.set_defaults(fn=cmd_crawl)
 
     c = sub.add_parser("query", help="run a named pipeline")
@@ -182,16 +191,16 @@ def main(argv: list[str] | None = None) -> int:
     c.set_defaults(fn=cmd_curate)
 
     args = p.parse_args(argv)
+    if getattr(args, "resume", False) and not args.checkpoint_dir:
+        p.error("--resume needs --checkpoint-dir")
+    import ray
+
+    owned = not ray.is_initialized()
     try:
         return args.fn(args)
     finally:
-        try:
-            import ray
-
-            if ray.is_initialized():
-                ray.shutdown()
-        except Exception:
-            pass
+        if owned and ray.is_initialized():
+            ray.shutdown()
 
 
 if __name__ == "__main__":

@@ -19,10 +19,16 @@ with the seen-set's capacity or the width of repeated strings.
 
 Resume picks the newest epoch dir carrying ``_COMPLETE``; a run killed
 mid-write leaves no marker and is skipped, so resume is always from a
-consistent cut. A fresh run first discards every snapshot in its
-directory (``clear``), so only its own can be loaded. Checkpoint
-equality (bytes of every shard file) is the resume-fidelity
-criterion's comparator.
+consistent cut. Checkpoint equality (bytes of every shard file) is the
+resume-fidelity criterion's comparator.
+
+The snapshot is the commit point of everything a crawl writes. The
+crawl's page parts (``pages/epoch=000123/part-0000.parquet``) and its
+fetch log (``pages_fetch_log/epoch=000123.parquet``) are named here
+too, by the epoch that wrote them. A run owns every output at or after
+its start epoch (0 when fresh, the loaded snapshot's epoch on a resume)
+and deletes those before its first step (``cut``), so a resume never
+keeps pages, log rows or torn snapshots of a run it replaces.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 _EPOCH_DIR = re.compile(r"epoch=(\d+)")
+_LOG_FILE = re.compile(r"epoch=(\d+)\.parquet")
+_PAGE_PART = re.compile(r"part-\d+\.parquet")
 
 # shard-file writer options. Dictionary pages only for the leaves with
 # few distinct values: seqs, hashes, URLs and the cuckoo blob are near
@@ -90,7 +98,74 @@ def table_to_shard_state(table: pa.Table) -> dict:
     }
 
 
-def _write_into(d: str, shard_states: list[dict], driver: dict, metrics) -> None:
+def epoch_dir(root: str, epoch: int) -> str:
+    """``root/epoch=NNNNNN``: a snapshot dir, or a page-part dir."""
+    return os.path.join(root, f"epoch={epoch:06d}")
+
+
+def page_part(pages_dir: str, epoch: int, chunk: int) -> str:
+    return os.path.join(epoch_dir(pages_dir, epoch), f"part-{chunk:04d}.parquet")
+
+
+def fetch_log_dir(pages_dir: str) -> str:
+    """The fetch log's dir: a SIBLING of ``pages_dir``, not a child —
+    ``pages_dir`` is read back as one hive-partitioned dataset, and log
+    files carry an int64 ``epoch`` column that would collide with the
+    string partition field during schema unification."""
+    return pages_dir.rstrip("/") + "_fetch_log"
+
+
+def fetch_log_file(log_dir: str, epoch: int) -> str:
+    return epoch_dir(log_dir, epoch) + ".parquet"
+
+
+def cut(start: int, ckpt_dir: str | None, pages_dir: str | None, keep: str | None = None) -> None:
+    """Delete every output of epoch ``start`` or later: the snapshots
+    under ``ckpt_dir`` except ``keep`` (the loaded one; their
+    ``_COMPLETE`` markers go first, so a kill mid-sweep leaves none of
+    them loadable), the page parts under ``pages_dir`` (and each epoch
+    dir this empties) and the fetch-log files beside it. Other files
+    stay."""
+
+    def owned(root: str | None, pattern: re.Pattern) -> list[str]:
+        return [
+            os.path.join(root, e)
+            for e in (os.listdir(root) if root and os.path.isdir(root) else ())
+            if (m := pattern.fullmatch(e)) and int(m.group(1)) >= start
+        ]
+
+    snapshots = [d for d in owned(ckpt_dir, _EPOCH_DIR) if d != keep]
+    for d in snapshots:
+        if os.path.exists(os.path.join(d, "_COMPLETE")):
+            os.unlink(os.path.join(d, "_COMPLETE"))
+    for d in snapshots:
+        shutil.rmtree(d, ignore_errors=True)
+    if pages_dir is None:
+        return
+    for d in owned(pages_dir, _EPOCH_DIR):
+        if os.path.isdir(d):
+            for f in os.listdir(d):
+                if _PAGE_PART.fullmatch(f):
+                    os.unlink(os.path.join(d, f))
+            if not os.listdir(d):
+                os.rmdir(d)
+    for f in owned(fetch_log_dir(pages_dir), _LOG_FILE):
+        os.unlink(f)
+
+
+def write(
+    ckpt_dir: str,
+    shard_states: list[dict],
+    driver: dict,
+    metrics: pa.Table | None = None,
+) -> str:
+    """Write the snapshot of epoch ``driver["epoch"]`` in place, with
+    ``_COMPLETE`` last (a kill mid-write leaves no marker). An epoch that
+    already holds a complete snapshot is refused: ``cut`` leaves a run
+    none at or after its start, and the run writes each epoch once."""
+    d = epoch_dir(ckpt_dir, driver["epoch"])
+    if os.path.exists(os.path.join(d, "_COMPLETE")):
+        raise FileExistsError(f"{d} already holds a complete snapshot")
     os.makedirs(d, exist_ok=True)
     for st in shard_states:
         pq.write_table(
@@ -106,58 +181,7 @@ def _write_into(d: str, shard_states: list[dict], driver: dict, metrics) -> None
         json.dump(driver, f, sort_keys=True)
     with open(os.path.join(d, "_COMPLETE"), "w") as f:
         f.write("ok")
-
-
-def write(
-    ckpt_dir: str,
-    shard_states: list[dict],
-    driver: dict,
-    metrics: pa.Table | None = None,
-) -> str:
-    """Atomic snapshot write. A FRESH epoch dir writes in place with
-    ``_COMPLETE`` last (a kill mid-write leaves no marker). RE-writing
-    an epoch that already carries a marker (a caller that writes the
-    same epoch twice) must not tear the
-    existing valid snapshot: the new state lands in a ``_tmp-`` dir (invisible
-    to resume), the old dir renames away, the tmp renames in, and the
-    old dir is removed — a kill anywhere leaves either the old or the
-    new CONSISTENT snapshot discoverable (worst case: neither, and
-    resume falls back to the previous complete epoch)."""
-    epoch = driver["epoch"]
-    name = f"epoch={epoch:06d}"
-    d = os.path.join(ckpt_dir, name)
-    # sweep stale intermediates from earlier interrupted rewrites
-    for e in os.listdir(ckpt_dir) if os.path.isdir(ckpt_dir) else []:
-        if e.startswith(("_tmp-epoch=", "_old-epoch=")):
-            shutil.rmtree(os.path.join(ckpt_dir, e), ignore_errors=True)
-    if not os.path.exists(os.path.join(d, "_COMPLETE")):
-        _write_into(d, shard_states, driver, metrics)
-        return d
-    tmp = os.path.join(ckpt_dir, f"_tmp-{name}")
-    old = os.path.join(ckpt_dir, f"_old-{name}")
-    _write_into(tmp, shard_states, driver, metrics)
-    os.rename(d, old)  # old swept above, so the name is free
-    os.rename(tmp, d)
-    shutil.rmtree(old, ignore_errors=True)
     return d
-
-
-def clear(ckpt_dir: str) -> None:
-    """Discard every snapshot under ``ckpt_dir`` (a fresh run's first
-    step). The ``_COMPLETE`` markers go first, so a kill mid-sweep leaves
-    none of the discarded snapshots loadable."""
-    if not os.path.isdir(ckpt_dir):
-        return
-    dirs = [
-        os.path.join(ckpt_dir, e)
-        for e in os.listdir(ckpt_dir)
-        if _EPOCH_DIR.fullmatch(e) or e.startswith(("_tmp-epoch=", "_old-epoch="))
-    ]
-    for d in dirs:
-        if os.path.exists(os.path.join(d, "_COMPLETE")):
-            os.unlink(os.path.join(d, "_COMPLETE"))
-    for d in dirs:
-        shutil.rmtree(d, ignore_errors=True)
 
 
 def latest_epoch_dir(ckpt_dir: str) -> str | None:
@@ -195,7 +219,9 @@ def load_latest(ckpt_dir: str) -> dict:
 
 
 def checkpoint_digest(ckpt_dir_epoch: str) -> dict[str, str]:
-    """sha256 of every shard file — the bit-identity comparator."""
+    """sha256 of every shard file — the bit-identity comparator. No crawl
+    calls it; it stays because the resume tests and
+    ``crawlbench/test_crawlbench.py`` compare snapshots with it."""
     import hashlib
 
     out = {}

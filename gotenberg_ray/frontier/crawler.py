@@ -45,9 +45,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import re
 import time
-from typing import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -59,6 +57,7 @@ from ..functions.urlkit import UrlFilter, canonicalize_batch, host_ip_policy
 from ..pipelines.convert import convert_batch
 from ..schemas import ERR_FILTERED, ERR_INVALID_INPUT
 from ..stages.fetcher import SimulatedFetcher
+from . import checkpoint as ckpt
 from .metrics import EpochMetrics
 from .shard import GRANT_SCHEMA, FrontierShard
 
@@ -190,7 +189,6 @@ class CrawlConfig:
     max_links: int = 3
     shard_capacity: int = 1 << 16
     checkpoint_every: int = 0  # epochs; 0 = only final
-    fetch_batch_size: int = 4096
     fetch_concurrency: int = 4
     fetch_num_cpus: float = 1.0
     # logical reservation only — shards are idle during the fetch phase,
@@ -723,9 +721,9 @@ def _convert_and_write(
     Returns the number of output spans."""
     converted = convert_batch(result)
     if pages_dir:
-        d = f"{pages_dir}/epoch={epoch:06d}"
-        os.makedirs(d, exist_ok=True)
-        pq.write_table(converted, f"{d}/part-{chunk:04d}.parquet")
+        path = ckpt.page_part(pages_dir, epoch, chunk)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(converted, path)
     return pc.sum(pc.list_value_length(converted.column("spans"))).as_py() or 0
 
 
@@ -824,6 +822,10 @@ def _fetch_task(state_box, grants: pa.Table, off: int, ln: int, epoch: int,
     return log, keys, ray.put(payload), rejected, n_spans, busy_s
 
 
+# grant rows per fetch task at most (a large epoch's chunk size)
+FETCH_BATCH_SIZE = 4096
+
+
 class RayFetchRunner:
     """Fetch stage as stateless Ray tasks, fed one epoch's grants at a time.
 
@@ -865,7 +867,7 @@ class RayFetchRunner:
         size = max(
             1,
             min(
-                self.cfg.fetch_batch_size,
+                FETCH_BATCH_SIZE,
                 max(1024, -(-total // (3 * self.cfg.fetch_concurrency))),
             ),
         )
@@ -990,34 +992,6 @@ def _link_specs(
     return specs
 
 
-_PAGE_EPOCH_DIR = re.compile(r"epoch=\d+")
-_PAGE_PART = re.compile(r"part-\d+\.parquet")
-_LOG_FILE = re.compile(r"epoch=\d+\.parquet")
-
-
-def _clear_page_parts(epoch_dir: str) -> None:
-    """Delete the page part files of one ``epoch=NNNNNN`` dir."""
-    for f in os.listdir(epoch_dir):
-        if _PAGE_PART.fullmatch(f):
-            os.unlink(os.path.join(epoch_dir, f))
-
-
-def _clear_earlier_output(pages_dir: str, log_dir: str) -> None:
-    """Delete an earlier run's page parts (``epoch=NNNNNN/part-*.parquet``
-    under ``pages_dir``, and each epoch dir that this empties) and its
-    fetch-log files (``epoch=NNNNNN.parquet`` under ``log_dir``). Other
-    files stay."""
-    for e in os.listdir(pages_dir) if os.path.isdir(pages_dir) else ():
-        d = os.path.join(pages_dir, e)
-        if _PAGE_EPOCH_DIR.fullmatch(e) and os.path.isdir(d):
-            _clear_page_parts(d)
-            if not os.listdir(d):
-                os.rmdir(d)
-    for f in os.listdir(log_dir) if os.path.isdir(log_dir) else ():
-        if _LOG_FILE.fullmatch(f):
-            os.unlink(os.path.join(log_dir, f))
-
-
 def run_crawl(
     frontier: pa.Table,
     docs: pa.Table,
@@ -1027,13 +1001,12 @@ def run_crawl(
     pages_dir: str | None = None,
     checkpoint_dir: str | None = None,
     resume: bool = False,
-    log_sink: Callable[[pa.Table], None] | None = None,
 ) -> CrawlResult:
     """Crawl epoch by epoch until the frontier is exhausted or
     ``cfg.max_epochs``/``cfg.max_fetches`` is reached. ``mode`` picks
-    the (shard set, fetch runner) pair; the loop is the same for both."""
-    from . import checkpoint as ckpt
-
+    the (shard set, fetch runner) pair; the loop is the same for both.
+    The run owns every snapshot, page part and fetch-log file at or
+    after its start epoch, and deletes those first (``ckpt.cut``)."""
     t_setup0 = time.time()
     shards_cls, runner_cls = (
         (LocalShards, LocalFetchRunner) if mode == "local" else (RayShards, RayFetchRunner)
@@ -1066,27 +1039,15 @@ def run_crawl(
     runner = runner_cls(docs, cfg, pages_dir)
     W = cfg.epoch_width
 
-    # Fetch-log routing: an explicit log_sink wins; otherwise a crawl
-    # with a pages_dir streams per-epoch log partitions to parquet
-    # (bounded driver RSS at 10^10 fetches — one file per epoch, so a
-    # resumed run can skip finished partitions).  The in-memory list is
-    # the fallback for small/pages-less runs (tests, parity checks).
-    # NB: the log dir is a SIBLING of pages_dir, not a child — pages_dir
-    # is read back as one hive-partitioned dataset (epoch=NNNNNN/ dirs),
-    # and log files carry an int64 ``epoch`` column that would collide
-    # with the string partition field during schema unification.
+    # Fetch-log routing: a detailed crawl with a pages_dir streams one
+    # log file per epoch to parquet (bounded driver RSS at 10^10
+    # fetches); the in-memory list serves small/pages-less runs (tests,
+    # parity checks).
     logs: list[pa.Table] = []
-    log_dir = pages_dir.rstrip("/") + "_fetch_log" if pages_dir is not None else None
-    fetch_log_dir: str | None = None
-    if log_sink is None and log_dir is not None and cfg.detailed_logs:
-        fetch_log_dir = log_dir
+    fetch_log_dir = None
+    if pages_dir is not None and cfg.detailed_logs:
+        fetch_log_dir = ckpt.fetch_log_dir(pages_dir)
         os.makedirs(fetch_log_dir, exist_ok=True)
-
-        def log_sink(t: pa.Table, _d=fetch_log_dir) -> None:
-            epoch_val = t.column("epoch")[0].as_py() if t.num_rows else 0
-            pq.write_table(t, os.path.join(_d, f"epoch={epoch_val:06d}.parquet"))
-
-    log_sink = log_sink or logs.append
 
     rejected_parts: list[pa.Table] = []
     if resume:
@@ -1095,14 +1056,12 @@ def run_crawl(
         k, next_seq, fetch_seq, epochs_done = (
             drv["epoch"], drv["next_seq"], drv["fetch_seq"], drv["epochs_done"]
         )
-    else:
-        if checkpoint_dir:
-            # an earlier run's snapshots (later epochs than this run may
-            # reach) must not be what a resume of this run loads
-            ckpt.clear(checkpoint_dir)
-        if pages_dir is not None:
-            # nor may its pages and fetch log sit beside this run's
-            _clear_earlier_output(pages_dir, log_dir)
+    # every epoch this run writes is at or after its start epoch: an
+    # earlier or killed run's snapshots, pages and log from that point
+    # on go now, so none sits beside (or is loaded instead of) this run's
+    start, loaded = (k, state["dir"]) if resume else (0, None)
+    ckpt.cut(start, checkpoint_dir, pages_dir, keep=loaded)
+    if not resume:
         # seed admission is a pure function of (rows, filter). Raw seed
         # lists are messy (mixed case, ports, fragments), so most rows
         # take the per-row RFC-3986 parser — ~60µs/URL of driver time.
@@ -1186,7 +1145,10 @@ def run_crawl(
                 0, "fetch_seq", pa.array(np.arange(fetch_seq, fetch_seq + log.num_rows))
             )
             log = log.append_column("epoch", pa.array(np.full(log.num_rows, k_f)))
-            log_sink(log)
+            if fetch_log_dir is not None:
+                pq.write_table(log, ckpt.fetch_log_file(fetch_log_dir, k_f))
+            else:
+                logs.append(log)
         fetch_seq += log.num_rows
         n_links = sum(t.num_rows for t in key_tables)
         if n_links:
@@ -1260,15 +1222,6 @@ def run_crawl(
             k = mr // W
             continue
         t_fetch = time.time()
-        if pages_dir is not None:
-            # clear stale part files before this epoch's chunks write:
-            # a killed run may have left parts from a DIFFERENT chunking
-            # of the same epoch (fetch_concurrency is an execution
-            # detail a resume may change), and read_parquet over the
-            # hive layout would otherwise return those rows twice
-            ed = f"{pages_dir}/epoch={k:06d}"
-            if os.path.isdir(ed):
-                _clear_page_parts(ed)
         handle = runner.dispatch(popped, k)
         # the previous epoch ran under this epoch's step and dispatch;
         # fold it now so its links land before the next step is issued

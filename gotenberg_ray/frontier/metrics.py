@@ -1,19 +1,14 @@
 """Per-epoch crawl metrics — the observability surface (SURVEY §2.7).
 
-Mirrors the reference's OTEL instrument set (requests/errors counters,
-duration histograms with the 0.5–60 s bucket bounds of
-/root/reference/pkg/modules/chromium/chromium.go:605) as a table
-appended per checkpoint epoch. Wall-clock values are observability
+Mirrors the reference's OTEL instrument set (requests/errors counters
+and per-stage durations) as a table appended per checkpoint epoch. Wall-clock values are observability
 data, NOT scheduler state: the metrics file lives next to the shard
 checkpoints but is excluded from the bit-identity digest.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-
-from ..schemas import DURATION_BUCKETS_S
 
 EPOCH_METRICS_SCHEMA = pa.schema(
     [
@@ -47,14 +42,3 @@ class EpochMetrics:
         }
         return pa.table(cols, schema=EPOCH_METRICS_SCHEMA)
 
-
-def duration_histogram(seconds: list[float]) -> dict[str, int]:
-    """Bucket per-stage durations with the reference's bounds
-    (0.5,1,2,5,10,30,60 s) + overflow."""
-    bounds = list(DURATION_BUCKETS_S)
-    counts = np.zeros(len(bounds) + 1, dtype=np.int64)
-    for s in seconds:
-        counts[np.searchsorted(bounds, s)] += 1
-    out = {f"le_{b}": int(c) for b, c in zip(bounds, counts)}
-    out["overflow"] = int(counts[-1])
-    return out

@@ -7,8 +7,9 @@
   O(max_len) numpy kernels per batch, not O(total_bytes) Python ops.
 - ``splitmix64``: cheap stateless mixer used to derive independent
   hash families (minhash permutations, bloom probes, salts).
-- ``minhash_signatures`` / ``simhash64``: vectorized signature kernels
-  for the dedup pipelines.
+- ``hash_family`` / ``simhash64``: vectorized signature kernels for the
+  dedup pipelines (a MinHash signature is the column minima of a
+  ``hash_family`` table).
 
 All functions are pure and seed-stable: outputs are part of the
 checkpoint format, so NOTHING here may depend on PYTHONHASHSEED, dict
@@ -163,14 +164,6 @@ def shingle_hashes(tokens: list[str], n: int = 3) -> np.ndarray:
     if not joined:
         return np.empty(0, dtype=np.uint64)
     return fnv64(joined)
-
-
-def minhash_signature(shingles: np.ndarray, num_perm: int = 64) -> np.ndarray:
-    """MinHash signature (uint64[num_perm]) of a set of shingle hashes."""
-    if len(shingles) == 0:
-        return np.full(num_perm, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    fam = hash_family(shingles, num_perm)  # (n_shingles, num_perm)
-    return fam.min(axis=0)
 
 
 def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:

@@ -2,16 +2,15 @@
 
 Mirrors /root/reference/pkg/modules/chromium/routes.go:709-782: each
 ``.md`` file is rendered to HTML (gomarkdown) and sanitized with
-bluemonday's UGC policy, then spliced into the ``index.html`` template
-wherever ``{{ toHTML "name.md" }}`` appears; referencing a missing
-``.md`` file is a 400.
+bluemonday's UGC policy. Each page's markdown is one document here
+(``render_markdown_cached``), so the reference's ``index.html``
+template splice has no counterpart.
 
 The container has no markdown library, so this is a small deterministic
 CommonMark-subset renderer (headings, paragraphs, emphasis, inline
 code, fenced code, links, unordered/ordered lists, blockquotes, hr).
-The subset is pinned by the unit tests; the *pipeline* semantics
-(template splice, sanitize, missing-file error) are the part that must
-match the reference.
+The subset is pinned by the unit tests; the sanitizer is the part that
+must match the reference.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from __future__ import annotations
 import html
 import re
 
-from ..spans import InvalidInput
-
-_TO_HTML_RE = re.compile(r"\{\{\s*toHTML\s+\"([^\"]+)\"\s*\}\}")
 
 # precompiled hot-path patterns (this renderer runs once per text span
 # per crawled markdown page — re.sub with string patterns pays a cache
@@ -187,23 +183,6 @@ def sanitize_html(src: str) -> str:
         return f"<{name_l}{inner}{'/' if selfclose else ''}>"
 
     return _TAG_RE.sub(repl, src)
-
-
-def render_markdown_template(template_html: str, md_files: dict[str, str]) -> str:
-    """Splice rendered+sanitized markdown into the index template.
-
-    ``{{ toHTML "file.md" }}`` markers are replaced by the rendered file;
-    referencing a missing file raises InvalidInput (400 — the reference
-    errors the template execution, routes.go:732-740).
-    """
-
-    def repl(m: re.Match) -> str:
-        name = m.group(1)
-        if name not in md_files:
-            raise InvalidInput(f"markdown file {name!r} not found")
-        return sanitize_html(markdown_to_html(md_files[name]))
-
-    return _TO_HTML_RE.sub(repl, template_html)
 
 
 # ------------------------------------------------------------- render memo

@@ -104,6 +104,9 @@ def fingerprint(texts: list[str], window: int = 4) -> list[str]:
 
 
 def word_ngrams(text: str, n: int = 3) -> set[str]:
+    """Word n-grams of one text. No pipeline calls it; it stays as the
+    scalar reference ``tests/test_textops.py`` builds expected values
+    from."""
     toks = (text or "").split()
     if len(toks) < n:
         return {" ".join(toks)} if toks else set()

@@ -377,13 +377,6 @@ class UrlFilter:
         )
 
 
-def reject_file_scheme(urls_canon: list[str]) -> np.ndarray:
-    """True where the URL must be rejected (file:// — routes.go:417-435)."""
-    return np.fromiter(
-        (u.startswith("file:") for u in urls_canon), dtype=bool, count=len(urls_canon)
-    )
-
-
 # --------------------------------------------------------------------------
 # IP-class policy (outbound.go:69-114). The reference resolves the host
 # and rejects any non-public IP; we classify literal-IP hosts the same
@@ -478,30 +471,3 @@ def status_fails(statuses: np.ndarray, expanded: np.ndarray) -> np.ndarray:
     return np.isin(np.asarray(statuses, dtype=np.uint16), expanded)
 
 
-# --------------------------------------------------------------------------
-# domain normalizer + suffix matcher (events.go:299-360):
-# "*.example.com" / ".ex.com" / "https://ex.com/p" / "ex.com:443" → bare
-# host; match = exact or dot-boundary suffix.
-
-
-def normalize_domain(pattern: str) -> str:
-    p = pattern.strip().lower()
-    if "://" in p:
-        p = urlsplit(p).hostname or p
-    else:
-        p = p.lstrip("*")
-        p = p.lstrip(".")
-        p = p.split("/", 1)[0]
-        p = p.split(":", 1)[0]
-    return p.rstrip(".")
-
-
-def domain_matches(host: str, patterns: list[str]) -> bool:
-    host = host.lower().rstrip(".")
-    for raw in patterns:
-        p = normalize_domain(raw)
-        if not p:
-            continue
-        if host == p or host.endswith("." + p):
-            return True
-    return False

@@ -43,20 +43,18 @@ def spanify_documents(sf_dir: str) -> pa.Table:
     )
 
 
-def crawl_convert(
-    sf_dir: str,
-    n_frontier: int = 400,
-    n_hosts: int = 20,
-    seed: int = 42,
-    pages_dir: str | None = None,
-    **cfg_overrides,
+def _crawl_pages(
+    docs: pa.Table,
+    n_frontier: int,
+    n_hosts: int,
+    seed: int,
+    pages_dir: str | None,
+    tmp_prefix: str,
+    cfg_overrides: dict,
 ):
-    """Source stage: crawl the span corpus built from ``sf_dir`` and
-    return the converted pages as a lazy Dataset over the partitioned
-    parquet sink (fetch workers convert inline and write per-epoch)."""
+    """The crawl body of both source stages, over the given ``docs``."""
     import ray.data as rd
 
-    docs = spanify_documents(sf_dir)
     frontier = make_frontier(n_frontier, n_docs=docs.num_rows, seed=seed)
     robots = make_robots(host_pool(n_hosts), seed=seed)
     cfg = CrawlConfig(
@@ -69,9 +67,26 @@ def crawl_convert(
         **cfg_overrides,
     )
     if pages_dir is None:
-        pages_dir = tempfile.mkdtemp(prefix="gotenberg_ray_pages_")
+        pages_dir = tempfile.mkdtemp(prefix=tmp_prefix)
     run_crawl(frontier, docs, robots, cfg, mode="ray", pages_dir=pages_dir)
     return rd.read_parquet(pages_dir)
+
+
+def crawl_convert(
+    sf_dir: str,
+    n_frontier: int = 400,
+    n_hosts: int = 20,
+    seed: int = 42,
+    pages_dir: str | None = None,
+    **cfg_overrides,
+):
+    """Source stage: crawl the span corpus built from ``sf_dir`` and
+    return the converted pages as a lazy Dataset over the partitioned
+    parquet sink (fetch workers convert inline and write per-epoch)."""
+    docs = spanify_documents(sf_dir)
+    return _crawl_pages(
+        docs, n_frontier, n_hosts, seed, pages_dir, "gotenberg_ray_pages_", cfg_overrides
+    )
 
 
 def crawl_convert_media(
@@ -89,28 +104,13 @@ def crawl_convert_media(
     pages keep their media spans, which is what the interleaved
     training composition (``train.training_interleaved_pipeline``)
     packs real media budgets from."""
-    import ray.data as rd
-
     from ..corpus import make_documents
     from ..io import table_rows
 
-    n = max(50, table_rows(sf_dir, "documents"))
-    docs = make_documents(n, seed=seed)
-    frontier = make_frontier(n_frontier, n_docs=docs.num_rows, seed=seed)
-    robots = make_robots(host_pool(n_hosts), seed=seed)
-    cfg = CrawlConfig(
-        n_partitions=4,
-        epoch_width=8,
-        max_epochs=30,
-        link_universe=600,
-        fetch_concurrency=2,
-        fetch_num_cpus=0.5,
-        **cfg_overrides,
+    docs = make_documents(max(50, table_rows(sf_dir, "documents")), seed=seed)
+    return _crawl_pages(
+        docs, n_frontier, n_hosts, seed, pages_dir, "gotenberg_ray_mpages_", cfg_overrides
     )
-    if pages_dir is None:
-        pages_dir = tempfile.mkdtemp(prefix="gotenberg_ray_mpages_")
-    run_crawl(frontier, docs, robots, cfg, mode="ray", pages_dir=pages_dir)
-    return rd.read_parquet(pages_dir)
 
 
 def media_crawl_pipeline(sf_dir: str):

@@ -137,24 +137,3 @@ class OfficeConverter:
         )
         return pa.Table.from_arrays(arrays, schema=schema)
 
-
-def office_convert_table(
-    files: pa.Table, merge: bool = False
-) -> pa.Table:
-    """Run the office route over a table of input files (driver-side
-    convenience used by tests; the Ray path is
-    ``ds.map_batches(OfficeConverter, concurrency=N)`` then the merge
-    groupby)."""
-    conv = OfficeConverter()(files)
-    if not merge:
-        return conv
-    from .convert import merge_group_batch
-
-    out = []
-    groups = sorted(set(conv.column("merge_group").to_pylist()))
-    import pyarrow.compute as pc
-
-    for g in groups:
-        sub = conv.filter(pc.equal(conv.column("merge_group"), g))
-        out.append(merge_group_batch(sub.sort_by([("part_index", "ascending")])))
-    return pa.concat_tables(out)

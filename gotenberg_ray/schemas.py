@@ -120,10 +120,6 @@ ERROR_HTTP_STATUS = {
     ERR_UNKNOWN: 500,
 }
 
-# OTEL-compatible duration histogram bucket bounds in seconds
-# (chromium.go:605, libreoffice api.go:447).
-DURATION_BUCKETS_S = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
-
 # network-aggregate origin cap (network_aggregate.go:58-62)
 MAX_UNIQUE_ORIGINS = 64
 

@@ -67,8 +67,10 @@ def synthetic_links(
     """Hash-derived outlinks; mostly same-host, ~10% cross-host.
 
     Scalar REFERENCE implementation — the fetch hot path uses
-    ``synthetic_links_batch`` (byte-identical, pinned by
-    tests/test_fetcher.py parity); keep the two in lock-step.
+    ``synthetic_links_batch``. No production code calls this one; it
+    stays as the parity oracle the batch form is pinned against
+    (``tests/test_crawl.py``, ``tests/test_linkagg.py``); keep the two
+    in lock-step.
     """
     n = splitmix64(url_hash ^ int(LINK_SALT)) % (max_links + 1)
     out = []

@@ -320,28 +320,20 @@ def test_latest_epoch_dir_orders_numerically(tmp_path):
     assert got.endswith("epoch=1000012")
 
 
-def test_checkpoint_rewrite_is_atomic(small_world, tmp_path):
-    """Re-writing a completed epoch dir must swap, not tear: the new
-    snapshot fully replaces the old and no intermediates remain."""
-    import os
-
+def test_checkpoint_write_refuses_a_complete_epoch(small_world, tmp_path):
+    """A snapshot is written once: ``ckpt.write`` over an epoch that
+    already holds a complete snapshot raises and leaves it as it was."""
     docs, frontier, robots, cfg = small_world
     d = str(tmp_path / "ck")
-    res = run_crawl(
-        frontier, docs, robots, cfg, mode="local", checkpoint_dir=d
-    )
+    run_crawl(frontier, docs, robots, cfg, mode="local", checkpoint_dir=d)
     ep = ckpt.latest_epoch_dir(d)
     before = ckpt.checkpoint_digest(ep)
     state = ckpt.load_latest(d)
-    # rewrite the SAME epoch with mutated driver state — must not tear
-    driver = dict(state["driver"])
-    ckpt.write(d, state["shards"], driver)
-    after = ckpt.checkpoint_digest(ckpt.latest_epoch_dir(d))
-    assert after == before  # same states → same bytes
-    leftovers = [
-        e for e in os.listdir(d) if e.startswith(("_tmp-", "_old-"))
-    ]
-    assert leftovers == []
+    changed = [dict(st, counters={**st["counters"], "offered": -1}) for st in state["shards"]]
+    with pytest.raises(FileExistsError, match="complete snapshot"):
+        ckpt.write(d, changed, state["driver"])
+    assert ckpt.latest_epoch_dir(d) == ep
+    assert ckpt.checkpoint_digest(ep) == before
 
 
 def test_fresh_run_discards_an_earlier_runs_snapshots(small_world, tmp_path):
@@ -917,6 +909,44 @@ def test_resume_clears_stale_epoch_parts(small_world, tmp_path):
     assert resumed.fetch_seq == full.fetch_seq
     n_resumed = rd.read_parquet(pages).count()
     assert n_resumed == n_full, "stale planted part must be cleared"
+
+
+def test_resume_with_fewer_epochs_cuts_the_replaced_runs_output(small_world, tmp_path):
+    """A run killed during its final snapshot, resumed with a lower
+    ``max_epochs``, ends with exactly the pages, fetch log and snapshots
+    of the same shorter crawl into empty directories: the resume cuts
+    the killed run's later page epochs, log files and torn snapshot."""
+    import dataclasses
+    import os
+
+    docs, frontier, robots, cfg = small_world
+    cfg = dataclasses.replace(cfg, checkpoint_every=5)
+    ck, pages = str(tmp_path / "ck"), str(tmp_path / "pages")
+    run_crawl(
+        frontier, docs, robots, dataclasses.replace(cfg, max_epochs=8), mode="local",
+        checkpoint_dir=ck, pages_dir=pages,
+    )
+    # what a kill during the final snapshot leaves: no marker
+    os.unlink(os.path.join(ckpt.latest_epoch_dir(ck), "_COMPLETE"))
+    six = dataclasses.replace(cfg, max_epochs=6)
+    resumed = run_crawl(
+        frontier, docs, robots, six, mode="local", checkpoint_dir=ck, pages_dir=pages,
+        resume=True,
+    )
+    clean_ck, clean = str(tmp_path / "clean_ck"), str(tmp_path / "clean")
+    want = run_crawl(
+        frontier, docs, robots, six, mode="local", checkpoint_dir=clean_ck, pages_dir=clean
+    )
+    assert (resumed.epochs, resumed.fetch_seq) == (want.epochs, want.fetch_seq)
+    for ours, theirs in ((pages, clean), (pages + "_fetch_log", clean + "_fetch_log")):
+        got, exp = _parquet_files(ours), _parquet_files(theirs)
+        assert sorted(got) == sorted(exp)
+        for name in exp:
+            assert got[name].equals(exp[name]), name
+    assert sorted(os.listdir(ck)) == sorted(os.listdir(clean_ck))
+    assert ckpt.checkpoint_digest(ckpt.latest_epoch_dir(ck)) == ckpt.checkpoint_digest(
+        ckpt.latest_epoch_dir(clean_ck)
+    )
 
 
 # A crawl child that SIGKILLs itself at a deterministic point:

@@ -36,8 +36,10 @@ def test_minhash_similarity_estimates_jaccard():
     rng = np.random.RandomState(0)
     base = rng.randint(0, 2**63, 200).astype(np.uint64)
     half = np.concatenate([base[:100], rng.randint(0, 2**63, 100).astype(np.uint64)])
-    s1 = H.minhash_signature(base, 128)
-    s2 = H.minhash_signature(half, 128)
+    # a MinHash signature is the column minima of a hash_family table
+    # (the dedup pipelines' signature stage)
+    s1 = H.hash_family(base, 128).min(axis=0)
+    s2 = H.hash_family(half, 128).min(axis=0)
     est = (s1 == s2).mean()
     true_j = len(np.intersect1d(base, half)) / len(np.union1d(base, half))
     assert abs(est - true_j) < 0.15

@@ -1,7 +1,4 @@
-import pytest
-
 from gotenberg_ray.functions import markdown as M
-from gotenberg_ray.spans import InvalidInput
 
 
 def test_basic_blocks():
@@ -33,12 +30,3 @@ def test_sanitize_strips_script_and_handlers():
 def test_sanitize_drops_unknown_tags_keeps_content():
     assert M.sanitize_html("<custom>keep</custom>") == "keep"
     assert M.sanitize_html('<iframe src="x">no</iframe>') == "no"
-
-
-def test_template_splice_and_missing_md_400():
-    # routes.go:709-782: markers replaced; missing .md errors (FIXTURES case 9)
-    tpl = "<h1>T</h1>{{ toHTML \"a.md\" }}<hr/>{{ toHTML \"b.md\" }}"
-    out = M.render_markdown_template(tpl, {"a.md": "# A", "b.md": "*b*"})
-    assert "<h1>A</h1>" in out and "<em>b</em>" in out
-    with pytest.raises(InvalidInput):
-        M.render_markdown_template(tpl, {"a.md": "# A"})

@@ -5,7 +5,6 @@ import pyarrow.parquet as pq
 from gotenberg_ray.corpus import host_pool, make_documents, make_frontier, make_robots
 from gotenberg_ray.frontier import checkpoint as ckpt
 from gotenberg_ray.frontier.crawler import CrawlConfig, run_crawl
-from gotenberg_ray.frontier.metrics import duration_histogram
 
 
 def test_epoch_metrics_recorded_and_checkpointed(tmp_path):
@@ -27,9 +26,3 @@ def test_epoch_metrics_recorded_and_checkpointed(tmp_path):
     assert os.path.exists(os.path.join(ep, "metrics.parquet"))
     assert pq.read_table(os.path.join(ep, "metrics.parquet")).num_rows == res.epochs
     assert not any(k.startswith("metrics") for k in ckpt.checkpoint_digest(ep))
-
-
-def test_duration_histogram_reference_buckets():
-    h = duration_histogram([0.1, 0.6, 3.0, 100.0])
-    assert h["le_0.5"] == 1 and h["le_1.0"] == 1 and h["le_5.0"] == 1
-    assert h["overflow"] == 1

@@ -5,7 +5,8 @@ import json
 import pyarrow as pa
 
 from gotenberg_ray import spans as S
-from gotenberg_ray.pipelines.office import OfficeConverter, office_convert_table
+from gotenberg_ray.pipelines.convert import merge_group_batch
+from gotenberg_ray.pipelines.office import OfficeConverter
 from gotenberg_ray.schemas import KIND_TEXT, SPANS_TYPE, make_span
 
 
@@ -42,7 +43,8 @@ def test_office_merge_is_input_order_with_page_offsets():
         [("a", "a.docx", doc(2, "A"), 0), ("b", "b.odt", doc(1, "B"), 0)],
         opts=json.dumps({"generate_document_outline": True}),
     )
-    merged = office_convert_table(t, merge=True)
+    conv = OfficeConverter()(t)
+    merged = merge_group_batch(conv.sort_by([("part_index", "ascending")]))
     assert merged.num_rows == 1
     assert merged.column("page_count").to_pylist() == [3]
     texts = [

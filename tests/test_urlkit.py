@@ -1,4 +1,5 @@
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from gotenberg_ray.functions import urlkit as U
@@ -70,8 +71,23 @@ def test_filter_allow_or_semantics_deny_always_wins():
 
 
 def test_reject_file_scheme():
-    m = U.reject_file_scheme(["file:///x", "http://a/"])
-    assert m.tolist() == [True, False]
+    # routes.go:417-435: admission rejects a non-http(s) scheme as invalid input
+    from gotenberg_ray.frontier.crawler import admit_candidates
+    from gotenberg_ray.schemas import ERR_INVALID_INPUT
+
+    n = 2
+    batch = pa.table({
+        "url": ["file:///x", "http://a/"],
+        "priority": pa.array([0] * n, pa.int32()),
+        "next_fetch_time": pa.array([0] * n, pa.int64()),
+        "route": ["convert/html"] * n,
+        "doc_id": ["d0", "d1"],
+        "options_json": ["{}"] * n,
+        "seq": pa.array(range(n), pa.int64()),
+    })
+    accepted, rejected = admit_candidates(batch, U.UrlFilter())
+    assert accepted.column("url_canon").to_pylist() == ["http://a/"]
+    assert rejected.to_pylist() == [{"url": "file:///x", "error_type": ERR_INVALID_INPUT}]
 
 
 def test_ip_policy_tables():
@@ -108,17 +124,6 @@ def test_status_class_expansion():
     ex = U.expand_status_codes([404, 599])
     assert 404 in ex and 500 in ex and 599 in ex and 418 not in ex
     assert U.status_fails(np.array([200, 404, 503]), ex).tolist() == [False, True, True]
-
-
-def test_domain_normalize_and_match():
-    # events.go:299-360
-    assert U.normalize_domain("*.Example.COM") == "example.com"
-    assert U.normalize_domain(".ex.com") == "ex.com"
-    assert U.normalize_domain("https://ex.com/p") == "ex.com"
-    assert U.normalize_domain("ex.com:443") == "ex.com"
-    assert U.domain_matches("a.ex.com", ["*.ex.com"])
-    assert U.domain_matches("ex.com", ["ex.com:443"])
-    assert not U.domain_matches("notex.com", ["ex.com"])
 
 
 class TestUrlHostCorpus:
