@@ -6,10 +6,11 @@ A from-scratch reimplementation of the capabilities of gotenberg/gotenberg
 - documents are rows of interleaved text+media *span lists* (Arrow
   ``list<struct<kind,text,media_ref,offset>>``) instead of working
   directories of files,
-- every conversion route is a chain of ``map_batches`` transforms over
-  zero-copy Arrow batches,
-- stateful machinery (URL frontier, seen-set, politeness, robots,
-  browser/office "supervisors") lives in actor pools,
+- every conversion route, ``libreoffice/convert`` included, is one
+  batch pass (``pipelines/convert.py::convert_batch``) over zero-copy
+  Arrow batches; the crawl runs it inside its fetch workers,
+- stateful crawl machinery (URL frontier, seen-set, politeness, robots)
+  lives in frontier shards, one Ray actor each under ``mode="ray"``,
 - all wide steps are explicit, keyed shuffles.
 
 Nothing here calls ``ray.init()``/``ray.shutdown()`` — the session is

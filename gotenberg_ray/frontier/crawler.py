@@ -53,7 +53,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import fnv64, splitmix64
-from ..functions.urlkit import UrlFilter, canonicalize_batch, host_ip_policy
+from ..functions.urlkit import UrlFilter, canonicalize_batch
 from ..pipelines.convert import convert_batch
 from ..schemas import ERR_FILTERED, ERR_INVALID_INPUT
 from ..stages.fetcher import SimulatedFetcher
@@ -225,37 +225,28 @@ class CrawlConfig:
 
 # ---------------------------------------------------------------- admission
 
-# hosts that could possibly be IP literals start with a digit, colon or
-# bracket — everything else is a DNS name, no per-row ipaddress parse
-_IP_PREFIX_PAT = r"^[0-9:\[]"
 _PATH_OF_CANON_PAT = r"^https?://[^/?#]*(?P<path>/[^?#]*)?"
+
+
+def crawl_policy(cfg: CrawlConfig) -> UrlFilter:
+    """The crawl's outbound policy: the config's allow/deny lists, with
+    non-public literal IPs always denied (outbound.go IP-class policy)."""
+    return UrlFilter(cfg.allow, cfg.deny, deny_private_ips=True)
 
 
 def _admission_errors(
     canon: pa.Array, hosts: pa.Array, url_filter: UrlFilter
 ) -> np.ndarray:
-    """Vectorized scheme/regex/IP-policy gate → error-code object array
-    ('' = accepted). Same decisions as the reference chain
-    (routes.go:417-435 scheme reject, filter.go allow/deny,
-    outbound.go IP class), taken batch-at-a-time."""
-    n = len(canon)
-    err = np.full(n, "", dtype=object)
+    """Vectorized scheme gate + outbound policy → error-code object
+    array ('' = accepted). Same decisions as the reference chain
+    (routes.go:417-435 scheme reject, then FilterOutboundURL on the
+    canonical form), taken batch-at-a-time."""
+    err = np.full(len(canon), "", dtype=object)
     ok_scheme = pc.or_(
         pc.starts_with(canon, "http://"), pc.starts_with(canon, "https://")
     ).to_numpy(zero_copy_only=False)
     err[~ok_scheme] = ERR_INVALID_INPUT  # scheme reject, routes.go:417-435
-    if url_filter.allow or url_filter.deny:
-        dec = url_filter.decide_batch(canon.to_numpy(zero_copy_only=False).tolist())
-        err[ok_scheme & ~dec] = ERR_FILTERED
-    # IP-class policy: only hosts that LOOK like IP literals get parsed
-    ip_like = pc.match_substring_regex(hosts, _IP_PREFIX_PAT).to_numpy(
-        zero_copy_only=False
-    )
-    if ip_like.any():
-        hosts_l = hosts.to_numpy(zero_copy_only=False).tolist()
-        for i in np.nonzero(ip_like & (err == ""))[0]:
-            if host_ip_policy(hosts_l[i]) == "non_public":
-                err[i] = ERR_FILTERED  # outbound.go IP-class policy
+    err[ok_scheme & (url_filter.reasons(canon, hosts) != "")] = ERR_FILTERED
     return err
 
 
@@ -737,7 +728,7 @@ class _FetchWorker(SimulatedFetcher):
     def __init__(self, docs, cfg: CrawlConfig):
         super().__init__(docs, link_universe=cfg.link_universe, max_links=cfg.max_links)
         self.cfg = cfg
-        self.url_filter = UrlFilter(list(cfg.allow), list(cfg.deny))
+        self.url_filter = crawl_policy(cfg)
         self.log_cols = _LOG_COLS if cfg.detailed_logs else ["seq"]
 
     def fetch(
@@ -1011,7 +1002,7 @@ def run_crawl(
     shards_cls, runner_cls = (
         (LocalShards, LocalFetchRunner) if mode == "local" else (RayShards, RayFetchRunner)
     )
-    url_filter = UrlFilter(list(cfg.allow), list(cfg.deny))
+    url_filter = crawl_policy(cfg)
     # dispatch seed admission BEFORE building shard actors and fetch
     # state: the admission tasks chew the raw URL list (and warm the
     # worker processes) while the driver constructs everything else

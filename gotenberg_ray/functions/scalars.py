@@ -6,8 +6,8 @@
   and digit_suffix_key (pdfcpu/sort.go:10-68) for split outputs. Our
   engine sorts by explicit part_index columns; these exist for
   fixture-name parity.
-- inches / duration / byte-size parsers (api/formdata.go:152-268,
-  api.go:197).
+- parse_scoped_header: the extraHttpHeaders `value; scope=regex`
+  grammar; sanitize_filename: the downloadFrom Zip-Slip defense.
 - cap_attr / redact_url (gotenberg/attrs.go): log-attribute hygiene.
 """
 
@@ -17,80 +17,7 @@ import re
 from functools import cmp_to_key as _cmp_to_key
 from urllib.parse import urlsplit, urlunsplit
 
-_NUM_PREFIX = re.compile(r"^(\d+)")
 _NUM_TRAIL = re.compile(r"(\d+)$")
-_UNIT_RE = re.compile(r"^\s*([0-9.]+)\s*([a-zA-Z%]*)\s*$")
-
-_INCH_FACTORS = {
-    "": 1.0,  # bare numbers are inches
-    "in": 1.0,
-    "pt": 1.0 / 72.0,
-    "px": 1.0 / 96.0,
-    "mm": 1.0 / 25.4,
-    "cm": 1.0 / 2.54,
-    "pc": 1.0 / 6.0,
-}
-
-_BYTE_FACTORS = {
-    "": 1,
-    "b": 1,
-    "kb": 1000,
-    "mb": 1000**2,
-    "gb": 1000**3,
-    "tb": 1000**4,
-    "kib": 1024,
-    "mib": 1024**2,
-    "gib": 1024**3,
-}
-
-_DUR_FACTORS = {"ns": 1e-9, "us": 1e-6, "µs": 1e-6, "ms": 1e-3, "s": 1.0, "m": 60.0, "h": 3600.0}
-
-
-def parse_inches(value: str) -> float:
-    """'8.5', '72pt', '297mm' → inches (formdata.go:173-268)."""
-    m = _UNIT_RE.match(value)
-    if not m:
-        raise ValueError(f"invalid dimension {value!r}")
-    num, unit = float(m.group(1)), m.group(2).lower()
-    if unit not in _INCH_FACTORS:
-        raise ValueError(f"unknown unit {unit!r} in {value!r}")
-    return num * _INCH_FACTORS[unit]
-
-
-def parse_byte_size(value: str) -> int:
-    """'5MB', '1GiB', '700kb' → bytes (api-body-limit parsing)."""
-    m = _UNIT_RE.match(value)
-    if not m:
-        raise ValueError(f"invalid byte size {value!r}")
-    num, unit = float(m.group(1)), m.group(2).lower()
-    if unit not in _BYTE_FACTORS:
-        raise ValueError(f"unknown unit {unit!r} in {value!r}")
-    return int(num * _BYTE_FACTORS[unit])
-
-
-def parse_duration(value: str) -> float:
-    """Go-style duration ('1h30m', '2.5s', '500ms') → seconds."""
-    value = value.strip()
-    if not value:
-        raise ValueError("empty duration")
-    # Go's time.ParseDuration accepts an optional leading sign and the
-    # special case "0" / "+0" / "-0" with no unit
-    sign = 1.0
-    if value[0] in "+-":
-        sign = -1.0 if value[0] == "-" else 1.0
-        value = value[1:]
-    if value == "0":
-        return 0.0
-    # the WHOLE string must be (number unit)+ — Go's time.ParseDuration
-    # rejects trailing garbage like '1hgarbage', so must we
-    if not re.fullmatch(r"(?:[0-9.]+(?:ns|us|µs|ms|s|m|h))+", value):
-        raise ValueError(f"invalid duration {value!r}")
-    total = 0.0
-    for num, unit in re.findall(r"([0-9.]+)(ns|us|µs|ms|s|m|h)", value):
-        total += float(num) * _DUR_FACTORS[unit]
-    return sign * total
-
-
 _GO_PREFIX = re.compile(r"^(\d+)(.*)$")
 _GO_EXT_SUFFIX = re.compile(r"^(.*?)(\d+)(\.[^.]+)$")
 _GO_SUFFIX = re.compile(r"^(.*?)(\d+)$")
@@ -194,18 +121,6 @@ def sanitize_filename(name: str) -> str:
     return unicodedata.normalize("NFC", out)
 
 
-_SAMESITE_RE = re.compile(r"^(lax|strict|none)$", re.I)
-
-
-def normalize_samesite(value: str) -> str:
-    """Case-insensitive Lax/Strict/None canonicalization
-    (chromium/routes.go:27-30,117-158); invalid values raise."""
-    m = _SAMESITE_RE.match(value.strip())
-    if not m:
-        raise ValueError(f"invalid sameSite value {value!r}")
-    return m.group(1).capitalize()
-
-
 def parse_scoped_header(value: str) -> tuple[str, re.Pattern | None]:
     """The `value; scope=regex` extraHttpHeaders mini-grammar
     (chromium/routes.go:160-218): returns (header value, compiled scope
@@ -214,18 +129,3 @@ def parse_scoped_header(value: str) -> tuple[str, re.Pattern | None]:
         return value, None
     head, _, pattern = value.partition("; scope=")
     return head, re.compile(pattern)
-
-
-def xml_escape(value: str) -> str:
-    """XML entity escaping for XMP splicing (qpdf.go:1088-1092)."""
-    from xml.sax.saxutils import escape
-
-    return escape(value, {'"': "&quot;", "'": "&apos;"})
-
-
-def strip_qpdf_prefix(value: str) -> tuple[str, str]:
-    """qpdf string-prefix convention `u:`/`b:`/`e:` (qpdf.go:698-707):
-    returns (kind, payload); no prefix → ("u", value)."""
-    if len(value) >= 2 and value[1] == ":" and value[0] in "ube":
-        return value[0], value[2:]
-    return "u", value

@@ -8,8 +8,9 @@ Pure, stateless functions — the heaviest unit-test surface (SURVEY.md
   extended RFC-3986 normalization (default-port strip, dot-segment
   removal, empty-path → "/", fragment strip, percent-encoding case) for
   the crawl-frontier key, since the seen-set needs one canonical form.
-- allow/deny regex filter: allow-list OR semantics, deny always applies
-  (/root/reference/pkg/gotenberg/filter.go:20-70, outbound.go:258-340).
+- the outbound policy (``UrlFilter``): allow-list OR semantics, deny
+  always applies, then the IP-class policy
+  (reference pkg/gotenberg/filter.go:20-70, outbound.go:69-114,258-340).
 - file:// scheme reject (chromium/routes.go:417-435).
 - IP-class policy: the non-public prefix table of outbound.go:69-114,
   incl. IPv4-mapped unwrap.
@@ -26,6 +27,7 @@ from urllib.parse import urlsplit, urlunsplit, quote
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .hashing import fnv64
 
@@ -184,8 +186,6 @@ class _CanonCache:
         self.cap = cap
 
     def add(self, raw: pa.Array, canon: pa.Array, host: pa.Array, hashes: np.ndarray):
-        import pyarrow.compute as pc
-
         if self.raw is not None and len(self.raw) + len(raw) > self.cap:
             self.raw = None
         if self.raw is None:
@@ -217,8 +217,6 @@ class _CanonCache:
 
 def pd_duplicated(arr: pa.Array) -> np.ndarray:
     """True for second-and-later occurrences of a value (vectorized)."""
-    import pyarrow.compute as pc
-
     idx = pc.index_in(arr, value_set=arr.unique())
     idx_np = idx.to_numpy(zero_copy_only=False).astype(np.int64)
     out = np.empty(len(arr), dtype=bool)
@@ -242,8 +240,6 @@ def canonicalize_batch(urls, use_cache: bool = True) -> tuple[pa.Array, pa.Array
     one join per batch); only the residue goes through the per-row
     RFC-3986 parser. Repeated URLs hit the process-level memo
     (``_CanonCache``) and skip both."""
-    import pyarrow.compute as pc
-
     if isinstance(urls, pa.ChunkedArray):
         arr = urls.combine_chunks()
     elif isinstance(urls, pa.Array):
@@ -351,37 +347,84 @@ def canonicalize_batch(urls, use_cache: bool = True) -> tuple[pa.Array, pa.Array
 
 
 # --------------------------------------------------------------------------
-# allow / deny admission filter (filter.go:20-70 + outbound.go:258-340):
+# outbound policy (FilterOutboundURL, outbound.go:69-114 + filter.go:20-70):
 # - empty allow-list ⇒ everything allowed; non-empty ⇒ must match ANY
 # - deny-list always applies; any match rejects
-# - matching runs on the CANONICAL form (outbound.go:264-270)
+# - then the IP-class policy on literal-IP hosts (a DNS name would need
+#   the resolve step, which the engine does not take)
+# The caller picks the string the regexes see: the crawl matches the
+# CANONICAL form (outbound.go:264-270), a sub-resource its raw ref.
+
+REASON_ALLOW_LIST = "filtered:allow_list"
+REASON_DENY_LIST = "filtered:deny_list"
+REASON_PRIVATE_IP = "filtered:non_public_ip"
+REASON_PUBLIC_IP = "filtered:public_ip"
+
+# a host (port and IPv6 brackets stripped) can be an IP literal only if
+# it starts with a digit (IPv4) or holds a colon (IPv6, whose first
+# character may be a hex letter); any other host is a DNS name and skips
+# the per-row ipaddress parse
+_IP_LITERAL_PAT = r"^[0-9]|:"
+
+
+def _strings(xs) -> pa.Array:
+    if isinstance(xs, pa.ChunkedArray):
+        return xs.combine_chunks()
+    if isinstance(xs, pa.Array):
+        return xs
+    return pa.array(xs, pa.string())
 
 
 class UrlFilter:
-    """Compiled allow/deny regex filter. Compile once (actor __init__)."""
+    """The outbound policy: allow/deny regexes plus the IP-class flags.
+    Compile once (actor ``__init__``), decide batch-at-a-time."""
 
-    def __init__(self, allow: list[str] | None = None, deny: list[str] | None = None):
-        self.allow = [re.compile(p) for p in (allow or [])]
-        self.deny = [re.compile(p) for p in (deny or [])]
+    def __init__(
+        self,
+        allow=(),
+        deny=(),
+        deny_private_ips: bool = False,
+        deny_public_ips: bool = False,
+    ):
+        self.allow = [re.compile(p) for p in allow]
+        self.deny = [re.compile(p) for p in deny]
+        self.deny_private_ips = bool(deny_private_ips)
+        self.deny_public_ips = bool(deny_public_ips)
 
-    def decide(self, url_canon: str) -> bool:
-        if self.allow and not any(p.search(url_canon) for p in self.allow):
-            return False
-        if any(p.search(url_canon) for p in self.deny):
-            return False
-        return True
-
-    def decide_batch(self, urls_canon: list[str]) -> np.ndarray:
-        return np.fromiter(
-            (self.decide(u) for u in urls_canon), dtype=bool, count=len(urls_canon)
-        )
+    def reasons(self, urls, hosts) -> np.ndarray:
+        """One deny reason per row ("" = pass), object array. ``urls``
+        are the strings the regexes see; ``hosts`` their hosts as
+        ``url_host`` gives them (userinfo, port and brackets stripped).
+        IPv4-mapped IPv6 hosts are judged as IPv4 (host_ip_policy)."""
+        urls, hosts = _strings(urls), _strings(hosts)
+        out = np.full(len(urls), "", dtype=object)
+        if self.allow or self.deny:
+            for i, u in enumerate(urls.to_numpy(zero_copy_only=False).tolist()):
+                if self.allow and not any(p.search(u) for p in self.allow):
+                    out[i] = REASON_ALLOW_LIST
+                elif any(p.search(u) for p in self.deny):
+                    out[i] = REASON_DENY_LIST
+        if not (self.deny_private_ips or self.deny_public_ips):
+            return out
+        ip_like = pc.fill_null(pc.match_substring_regex(hosts, _IP_LITERAL_PAT), False)
+        ip_like = ip_like.to_numpy(zero_copy_only=False)
+        if not ip_like.any():
+            return out
+        rows = np.nonzero(ip_like & (out == ""))[0]
+        for i, host in zip(rows, hosts.take(pa.array(rows)).to_pylist()):
+            cls = host_ip_policy(host)
+            if self.deny_private_ips and cls == "non_public":
+                out[i] = REASON_PRIVATE_IP
+            elif self.deny_public_ips and cls == "public":
+                out[i] = REASON_PUBLIC_IP
+        return out
 
 
 # --------------------------------------------------------------------------
 # IP-class policy (outbound.go:69-114). The reference resolves the host
 # and rejects any non-public IP; we classify literal-IP hosts the same
-# way and treat the (sandboxed, network-less) DNS step as a
-# deterministic stub that callers may override.
+# way and leave DNS names to the resolve step, which the engine does
+# not take.
 
 _NON_PUBLIC_V6 = [
     ipaddress.ip_network(p)

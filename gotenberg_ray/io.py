@@ -200,24 +200,6 @@ def write_table(ds: rd.Dataset, path: str, format: str = "parquet", **kwargs) ->
     ds.write_parquet(path, **kwargs)
 
 
-def read_jsonl(
-    path: str,
-    columns: list[str] | None = None,
-    num_blocks: int | None = None,
-) -> rd.Dataset:
-    """Newline-delimited-JSON source with the same size-∝ block policy
-    as :func:`read_table` — training corpora commonly arrive as .jsonl
-    shards before the first parquet/Lance conversion. JSON has no
-    column pruning at the decoder, so ``columns`` projects right after
-    the read (the bytes are already off disk; at scale, convert to a
-    columnar format once and use ``read_table``)."""
-    nb = num_blocks or blocks_for(path)
-    ds = rd.read_json(path, override_num_blocks=nb)
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
-
-
 def read_csv(
     path: str,
     columns: list[str] | None = None,
@@ -230,48 +212,6 @@ def read_csv(
     if columns:
         ds = ds.select_columns(columns)
     return ds
-
-
-def read_ipc(
-    path: str,
-    columns: list[str] | None = None,
-    num_blocks: int | None = None,
-) -> rd.Dataset:
-    """Arrow IPC file (Feather V2) source — the zero-copy interchange
-    format Arrow-native producers hand off (DataFrame dumps, flight
-    sinks). Ray Data has no built-in reader, so this parallelizes over
-    the file's own RECORD BATCHES: the driver opens just the footer to
-    count batches, ships batch-index ranges to tasks, and each task
-    memory-maps the file and materializes only its batches (the mmap
-    read is zero-copy until a kernel touches the buffers). ``columns``
-    prunes immediately after slicing each batch. Assumes the path is
-    visible on every node (shared FS / object-store mount — the same
-    contract every file-based reader here carries)."""
-    import pyarrow as pa
-    import pyarrow.ipc as ipc
-
-    with pa.memory_map(path) as mm:
-        rf = ipc.open_file(mm)
-        n_batches = rf.num_record_batches
-        if n_batches == 0:
-            empty = rf.schema.empty_table()
-            return rd.from_arrow(empty.select(columns) if columns else empty)
-    nb = min(n_batches, num_blocks or blocks_for(path))
-
-    def load(batch):
-        import pyarrow as pa
-        import pyarrow.ipc as _ipc
-
-        idx = batch["item"].to_pylist()
-        with pa.memory_map(path) as mm:
-            rf = _ipc.open_file(mm)
-            parts = [rf.get_batch(int(i)) for i in idx]
-        t = pa.Table.from_batches(parts)
-        return t.select(columns) if columns else t
-
-    return rd.from_items(
-        list(range(n_batches)), override_num_blocks=nb
-    ).map_batches(load, batch_format="pyarrow")
 
 
 def write_partitioned(
@@ -581,92 +521,6 @@ def compact_partitioned(path: str) -> dict:
         "removed_files": int((res["n_files"] - 1).sum()) if len(res) else 0,
         "rows": int(res["rows"].sum()) if len(res) else 0,
     }
-
-
-def read_evolved(
-    paths: list[str],
-    schema: list[tuple[str, "object"]],
-    columns: list[str] | None = None,
-) -> rd.Dataset:
-    """Schema-evolution-tolerant read: parquet files written under
-    DIFFERENT generations of a table schema stream through as the
-    declared target schema — missing columns null-fill, widened
-    numerics cast, extra columns drop. The lakehouse "schema merge on
-    read" every long-lived 100 TB table eventually needs (files land
-    over months; the schema moves).
-
-    ``schema`` is [(name, pyarrow type), ...] — the target. Casting
-    happens per batch in the workers (zero-copy where types already
-    match); the declared schema also makes empty files total. Column
-    pruning pushes into the parquet reader: only target columns that
-    exist in at least one file are requested, so dropped/unprojected
-    columns never leave storage."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    fields = [(n, t) for n, t in schema if columns is None or n in columns]
-    targets = [n for n, _ in fields]
-    if not paths:  # no files landed yet: empty dataset, target schema
-        return rd.from_arrow(
-            pa.schema([pa.field(n, t) for n, t in fields]).empty_table()
-        )
-    # footer-only metadata reads — cheap at any scale; the per-file
-    # projection is the intersection of target and stored columns.
-    # ``[]`` (file stores NONE of the target columns) is kept distinct
-    # from ``None`` (schema unreadable → read-and-align fallback):
-    # such a file contributes only its ROW COUNT (all-null rows), which
-    # the footer already carries — reading every stored column for
-    # zero useful bytes defeated the documented pruning (review-found)
-    per_file_cols: list[list[str] | None] = []
-    per_file_rows: list[int] = []
-    for p in paths:
-        try:
-            names = set(pq.read_schema(p).names)
-            per_file_cols.append([n for n in targets if n in names])
-            per_file_rows.append(int(pq.read_metadata(p).num_rows))
-        except OSError:
-            per_file_cols.append(None)
-            per_file_rows.append(0)
-
-    def align(batch: pa.Table) -> pa.Table:
-        cols = []
-        for name, typ in fields:
-            if name in batch.column_names:
-                col = batch.column(name)
-                cols.append(pc.cast(col, typ) if col.type != typ else col)
-            else:
-                cols.append(pa.nulls(batch.num_rows, typ))
-        return pa.table(dict(zip([n for n, _ in fields], cols)))
-
-    # one read per file: files may disagree on schema (Ray's parquet
-    # reader projects against the FIRST file's schema, so a shared
-    # column list would reject late-generation columns); each file
-    # reads only its own intersection and aligns, then the streams
-    # union. A file storing none of the targets never touches its data
-    # pages — its rows materialize as nulls from the footer count.
-    target_schema = pa.schema([pa.field(n, t) for n, t in fields])
-
-    def _null_rows(n_rows: int) -> rd.Dataset:
-        return rd.from_arrow(
-            pa.table(
-                {nm: pa.nulls(n_rows, t) for nm, t in fields},
-                schema=target_schema,
-            )
-        )
-
-    parts = [
-        _null_rows(nr)
-        if c == []
-        else rd.read_parquet(
-            p, columns=(c or None), override_num_blocks=1
-        ).map_batches(align, batch_format="pyarrow")
-        for p, c, nr in zip(paths, per_file_cols, per_file_rows)
-    ]
-    ds = parts[0]
-    for part in parts[1:]:
-        ds = ds.union(part)
-    return ds
 
 
 def scratch_layout_path(kind: str, sf_dir: str, table: str) -> str:

@@ -11,7 +11,7 @@ re-derivable in SQL, so this operator is oracle-checked end-to-end.
 Scale notes: the spanify map and the admission stage are per-batch
 Arrow transforms (no shuffle); only the tiny (reason, n) partials
 reach the final groupby. The admission stage is a callable CLASS so
-regex compilation and the per-ref memo live once per actor.
+regex compilation and the header memo live once per actor.
 """
 
 from __future__ import annotations

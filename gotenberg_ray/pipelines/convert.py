@@ -619,30 +619,3 @@ def _convert_rows_fallback(batch: pa.Table) -> pa.Table:
             )
     arrays = [pa.array(cols[name], typ) for name, typ in PAGES_OUT_FIELDS]
     return pa.Table.from_arrays(arrays, schema=PAGES_OUT_SCHEMA)
-
-
-def merge_group_batch(group: pa.Table) -> pa.Table:
-    """``groupby(merge_group).map_groups`` kernel: merge parts in
-    part_index order into one row (Merge = input order, pdfengine.go:
-    267-269), shifting bookmarks by running page counts."""
-    group = group.sort_by([("part_index", "ascending")])
-    spans_parts = group.column("spans").to_pylist()
-    merged = S.merge_spans(spans_parts)
-    bms = S.merge_bookmarks(
-        [
-            (name, S.page_count(sp), json.loads(bj or "[]"))
-            for name, sp, bj in zip(
-                group.column("output_name").to_pylist(),
-                spans_parts,
-                group.column("bookmarks_json").to_pylist(),
-            )
-        ]
-    )
-    first = group.slice(0, 1)
-    out = {c: first.column(c).to_pylist() for c in group.column_names}
-    out["spans"] = [merged]
-    out["part_index"] = [0]
-    out["bookmarks_json"] = [json.dumps(bms)]
-    if "page_count" in out:
-        out["page_count"] = [S.page_count(merged)]
-    return pa.table(out, schema=group.schema)

@@ -123,15 +123,8 @@ ERROR_HTTP_STATUS = {
 # network-aggregate origin cap (network_aggregate.go:58-62)
 MAX_UNIQUE_ORIGINS = 64
 
-# supervisor envelope (BASELINE.md §A)
-CHROMIUM_MAX_CONCURRENCY = 6
-LIBREOFFICE_MAX_CONCURRENCY = 1
-CHROMIUM_RESTART_AFTER = 100
-LIBREOFFICE_RESTART_AFTER = 10
+# downloadFrom / webhook retry bound (BASELINE.md §A)
 DOWNLOAD_MAX_RETRIES = 4
-COREDUMP_MAX_RETRIES = 10
-DEFAULT_TIMEOUT_S = 30.0
-HARD_TIMEOUT_GRACE_S = 5.0
 
 
 def empty_table(schema: pa.Schema) -> pa.Table:

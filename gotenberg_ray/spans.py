@@ -5,8 +5,9 @@ The reference's central transform interface is ``gotenberg.PdfEngine``
 Flatten, Convert, Read/WriteMetadata, PageCount, Read/WriteBookmarks,
 Encrypt, EmbedFiles(+Metadata), Watermark, Stamp, Rotate,
 InjectFacturXXMP, ReadPdfAConformance. Our documents are ordered span
-sequences, not binary PDFs, so each method becomes a pure function over
-``list[span]`` (span = dict(kind, text, media_ref, offset)).
+sequences, not binary PDFs, so each method the engine runs becomes a
+pure function over ``list[span]`` (span = dict(kind, text, media_ref,
+offset)); Merge (with its bookmark shift) has no route here.
 
 Representation contract:
 - a *page boundary* is a ``kind="page_break"`` span BETWEEN pages;
@@ -21,7 +22,6 @@ Representation contract:
 Semantics preserved exactly from the reference (file:line cited per op):
 split naming/unify (pdfengines/routes.go:279-331), metadata
 write-is-merge + dangerous-tag drop (exiftool.go:33-158,354-400),
-bookmark offset shift (pdfengines/routes.go:386-399,1011-1052),
 owner-only encryption defaulting (qpdf.go:366-369), perms-without-
 password → 400 (routes.go:688-697), rotate angle domain
 (routes.go:176-189), watermark/stamp source coupling
@@ -135,17 +135,6 @@ def parse_page_selection(expr: str, n_pages: int) -> list[int]:
             raise InvalidInput(f"invalid page selection {expr!r}")
         out.update(range(lo - 1, min(hi, n_pages)))
     return sorted(i for i in out if 0 <= i < n_pages)
-
-
-# --------------------------------------------------------------------------
-# Merge (pdfengine.go:267-269: page order = input order of files)
-
-
-def merge_spans(parts: list[list[Span]]) -> list[Span]:
-    pages: list[list[Span]] = []
-    for part in parts:
-        pages.extend(pages_of(part))
-    return join_pages(pages)
 
 
 # --------------------------------------------------------------------------
@@ -343,40 +332,6 @@ def write_metadata(existing_json: str, new_values: dict[str, Any]) -> str:
             raise InvalidInput(f"control characters in metadata value for {k!r}")
         meta[k] = v
     return json.dumps(meta, sort_keys=True)
-
-
-# --------------------------------------------------------------------------
-# Bookmarks (pdfcpu bookmarks export/import :303-478): a JSON tree of
-# {title, page(1-based), children}. Merge shifts pages by the running
-# page counts (pdfengines/routes.go:386-399,1016-1043); autoIndex adds a
-# top-level bookmark per part (routes.go:1011-1052).
-
-
-def shift_bookmarks(bookmarks: list[dict], offset: int) -> list[dict]:
-    return [
-        {
-            **b,
-            "page": b["page"] + offset,
-            "children": shift_bookmarks(b.get("children", []), offset),
-        }
-        for b in bookmarks
-    ]
-
-
-def merge_bookmarks(
-    parts: list[tuple[str, int, list[dict]]], auto_index: bool = False
-) -> list[dict]:
-    """parts = [(title, page_count, bookmarks)] in merge input order."""
-    out: list[dict] = []
-    offset = 0
-    for title, pages, bms in parts:
-        shifted = shift_bookmarks(bms, offset)
-        if auto_index:
-            out.append({"title": title, "page": offset + 1, "children": shifted})
-        else:
-            out.extend(shifted)
-        offset += pages
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from collections.abc import Callable
 from email.message import Message
 
@@ -34,8 +33,8 @@ import pyarrow as pa
 
 from ..functions.hashing import fnv64
 from ..functions.scalars import sanitize_filename
+from ..functions.urlkit import UrlFilter, url_host
 from ..schemas import DOWNLOAD_MAX_RETRIES, ERR_FILTERED, ERR_INVALID_INPUT, ERR_NONE
-from .subresource import filter_outbound_url
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -106,10 +105,7 @@ class DownloadFromStage:
         sleep: Callable[[float], None] | None = None,
     ):
         self.transport = transport or _synthetic_transport
-        self.allow = [re.compile(p) for p in allow]
-        self.deny = [re.compile(p) for p in deny]
-        self.deny_private_ips = deny_private_ips
-        self.deny_public_ips = deny_public_ips
+        self.policy = UrlFilter(allow, deny, deny_private_ips, deny_public_ips)
         self.max_retries = int(max_retries)
         self.sleep = sleep or (lambda s: None)
 
@@ -148,9 +144,7 @@ class DownloadFromStage:
             base["error_type"] = ERR_INVALID_INPUT
             base["error_detail"] = f"Invalid 'downloadFrom' form field entry {idx}: URL must be set"
             return base
-        reason = filter_outbound_url(
-            url, self.allow, self.deny, self.deny_private_ips, self.deny_public_ips
-        )
+        reason = self.policy.reasons([url], [url_host(url)])[0]
         if reason:
             base["error_type"] = ERR_FILTERED
             base["error_detail"] = reason

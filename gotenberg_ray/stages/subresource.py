@@ -13,16 +13,17 @@ the request leaves the browser:
   (``isAllowedFileSubResource``);
 - scoped extraHttpHeaders: a header applies when it has no scope or its
   scope regex matches the sub-resource URL — events.go:123-150;
-- the pinning proxy routes each allowed sub-resource through the
-  per-request dial decision — pinning_proxy.go:22-110 (the network dial
-  itself is sandbox-blocked; the decision algebra here is the testable
-  part).
+- the reference's pinning proxy then resolves each allowed host once
+  and dials only those addresses — pinning_proxy.go:22-110. The engine
+  opens no sockets, so the IP-class policy judges literal-IP hosts only
+  and DNS names pass it unresolved.
 
 In the span model a page's sub-resources are its media spans, so the
 stage flattens ``spans`` (``list<struct>``) Arrow-natively, decides per
-``media_ref``, and emits one decision row per sub-resource. Stateful
-setup (regex compile, per-ref memo) happens once per actor in
-``__init__`` — pass the class to ``map_batches(..., concurrency=N)``.
+``media_ref`` (the outbound policy once per distinct ref in a batch),
+and emits one decision row per sub-resource. Stateful setup (regex
+compile, header memo) happens once per actor in ``__init__`` — pass
+the class to ``map_batches(..., concurrency=N)``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from urllib.parse import urlsplit
-
 from ..functions.scalars import parse_scoped_header
-from ..functions.urlkit import host_ip_policy
+from ..functions.urlkit import UrlFilter, url_host
 from ..schemas import ERR_FILTERED, KIND_MEDIA
 
 DECISION_SCHEMA = pa.schema(
@@ -50,15 +49,12 @@ DECISION_SCHEMA = pa.schema(
     ]
 )
 
-# bounded deny reasons (all map to the ERR_FILTERED/403 family —
-# schemas.ERROR_TYPES stays the outward taxonomy)
-REASON_ALLOW_LIST = "filtered:allow_list"
-REASON_DENY_LIST = "filtered:deny_list"
-REASON_PRIVATE_IP = "filtered:non_public_ip"
-REASON_PUBLIC_IP = "filtered:public_ip"
+# the sub-resource reason beside the outbound ones (urlkit.REASON_*);
+# all map to the ERR_FILTERED/403 family — schemas.ERROR_TYPES stays
+# the outward taxonomy
 REASON_FILE_PREFIX = "filtered:file_prefix"
 
-assert ERR_FILTERED == "filtered"  # reasons above extend the 403 family
+assert ERR_FILTERED == "filtered"
 
 
 def is_allowed_file_subresource(raw_url: str, prefixes: tuple[str, ...]) -> bool:
@@ -68,39 +64,6 @@ def is_allowed_file_subresource(raw_url: str, prefixes: tuple[str, ...]) -> bool
     if not prefixes:
         return False
     return any(raw_url.startswith("file://" + p) for p in prefixes)
-
-
-def filter_outbound_url(
-    url: str,
-    allow: list[re.Pattern],
-    deny: list[re.Pattern],
-    deny_private_ips: bool = False,
-    deny_public_ips: bool = False,
-) -> str:
-    """``FilterOutboundURL`` (outbound.go:69-114) as a pure function →
-    deny reason ("" = pass). Order mirrors the reference: allow-list OR,
-    deny-list always, then IP-class policy on the (literal) host —
-    IPv4-mapped IPv6 unwraps before classification."""
-    if allow and not any(p.search(url) for p in allow):
-        return REASON_ALLOW_LIST
-    if any(p.search(url) for p in deny):
-        return REASON_DENY_LIST
-    if deny_private_ips or deny_public_ips:
-        try:
-            host = urlsplit(url).hostname or ""
-        except ValueError:
-            host = ""
-        if host:
-            # only literal-IP hosts classify here; DNS names would need
-            # the (sandbox-blocked) resolve step. urlsplit().hostname
-            # already strips userinfo (`user@127.0.0.1` trick) and
-            # IPv6 brackets; IPv4-mapped v6 unwraps in host_ip_policy.
-            cls = host_ip_policy(host)
-            if deny_private_ips and cls == "non_public":
-                return REASON_PRIVATE_IP
-            if deny_public_ips and cls == "public":
-                return REASON_PUBLIC_IP
-    return ""
 
 
 class SubResourceAdmission:
@@ -124,29 +87,10 @@ class SubResourceAdmission:
         deny_public_ips: bool = False,
         workdir: str = "/tmp/gotenberg",
     ):
-        self.allow = [re.compile(p) for p in allow]
-        self.deny = [re.compile(p) for p in deny]
-        self.deny_private_ips = bool(deny_private_ips)
-        self.deny_public_ips = bool(deny_public_ips)
+        self.policy = UrlFilter(allow, deny, deny_private_ips, deny_public_ips)
         self.workdir = workdir.rstrip("/")
-        # media refs repeat heavily across docs; the outbound verdict is
-        # a pure function of the ref under this actor's fixed policy
-        self._outbound_memo: dict[str, str] = {}
         # parsed extraHttpHeaders per options_json string
         self._header_memo: dict[str, list[tuple[str, str, re.Pattern | None]]] = {}
-
-    def _outbound(self, ref: str) -> str:
-        r = self._outbound_memo.get(ref)
-        if r is None:
-            r = filter_outbound_url(
-                ref,
-                self.allow,
-                self.deny,
-                self.deny_private_ips,
-                self.deny_public_ips,
-            )
-            self._outbound_memo[ref] = r
-        return r
 
     def _headers(self, options_json: str) -> list[tuple[str, str, re.Pattern | None]]:
         parsed = self._header_memo.get(options_json)
@@ -177,8 +121,16 @@ class SubResourceAdmission:
         if not is_media.any():
             return DECISION_SCHEMA.empty_table()
         midx = np.nonzero(is_media)[0]
-        refs = flat.field("media_ref").take(pa.array(midx)).to_pylist()
         rows = parents[midx]
+        # media refs repeat heavily across docs: one outbound decision
+        # per distinct ref in the batch
+        refs_arr = flat.field("media_ref").take(pa.array(midx))
+        refs_enc = refs_arr.dictionary_encode()
+        distinct = refs_enc.dictionary
+        outbound = self.policy.reasons(
+            distinct, [url_host(u) for u in distinct.to_pylist()]
+        )[refs_enc.indices.to_numpy(zero_copy_only=False)]
+        refs = refs_arr.to_pylist()
 
         doc_ids = batch.column("doc_id").to_pylist()
         routes = (
@@ -195,8 +147,7 @@ class SubResourceAdmission:
         allowed = np.empty(len(refs), dtype=bool)
         reasons: list[str] = []
         headers_col: list[list[str]] = []
-        for i, (ref, row) in enumerate(zip(refs, rows)):
-            reason = self._outbound(ref)
+        for i, (ref, row, reason) in enumerate(zip(refs, rows, outbound)):
             if not reason and ref.startswith("file://"):
                 # local-file routes allow exactly their own workdir
                 route = routes[row] or ""

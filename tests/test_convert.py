@@ -11,7 +11,6 @@ from gotenberg_ray.pipelines.convert import (
     ConvertOptions,
     convert_batch,
     convert_row,
-    merge_group_batch,
     PAGES_OUT_SCHEMA,
 )
 from gotenberg_ray.schemas import KIND_TEXT, SPANS_TYPE, make_span
@@ -75,38 +74,6 @@ def test_case5_split_pages_unify_keeps_base_name():
     assert len(parts) == 1
     assert parts[0].output_name == "pages_3"
     assert texts(parts[0].spans) == ["Page 2", "Page 3"]
-
-
-def test_case6_merge_bookmark_offsets():
-    rows = []
-    for i, (name, n) in enumerate([("a", 3), ("b", 2)]):
-        parts = convert_row(name, doc(n, prefix=name), ConvertOptions(generate_document_outline=True))
-        p = parts[0]
-        rows.append(
-            {
-                "doc_id": name,
-                "part_index": i,
-                "spans": p.spans,
-                "output_name": name,
-                "bookmarks_json": p.bookmarks_json,
-                "page_count": n,
-            }
-        )
-    group = pa.table(
-        {
-            "doc_id": pa.array([r["doc_id"] for r in rows]),
-            "part_index": pa.array([r["part_index"] for r in rows], pa.int32()),
-            "spans": pa.array([r["spans"] for r in rows], SPANS_TYPE),
-            "output_name": pa.array([r["output_name"] for r in rows]),
-            "bookmarks_json": pa.array([r["bookmarks_json"] for r in rows]),
-            "page_count": pa.array([r["page_count"] for r in rows], pa.int32()),
-        }
-    )
-    merged = merge_group_batch(group)
-    assert merged.num_rows == 1
-    assert merged.column("page_count")[0].as_py() == 5
-    bms = json.loads(merged.column("bookmarks_json")[0].as_py())
-    assert [b["page"] for b in bms] == [1, 2, 3, 4, 5]  # b's pages shifted by 3
 
 
 def test_case7_metadata_survives_convert():

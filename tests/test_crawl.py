@@ -6,6 +6,7 @@ under the same seed list + politeness budget, and a killed run must
 resume bit-identically from per-partition checkpoints.
 """
 
+import pyarrow as pa
 import pytest
 
 from gotenberg_ray.corpus import host_pool, make_documents, make_frontier, make_robots
@@ -62,6 +63,42 @@ def test_crawl_rejects_and_robots(small_world):
     assert "filtered" in errs  # private-IP seeds
     assert res.counters["robots_denied"] > 0  # links into /privateN/
     assert res.counters["duplicate"] > 0  # seen-set dedup fired
+
+
+def _seed_rows(urls):
+    n = len(urls)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "priority": pa.array([0] * n, pa.int32()),
+            "next_fetch_time": pa.array([0] * n, pa.int64()),
+            "route": ["convert/url"] * n,
+            "doc_id": [f"d{i}" for i in range(n)],
+            "options_json": ["{}"] * n,
+            "seq": pa.array(range(n), pa.int64()),
+        }
+    )
+
+
+def test_admission_rejects_hex_leading_ipv6_literals():
+    """Non-public IPv6 literals whose first character is a hex letter
+    (ULA, link-local with and without a zone, multicast) are filtered
+    like every other non-public literal; a public one passes."""
+    from gotenberg_ray.frontier.crawler import admit_candidates, crawl_policy
+    from gotenberg_ray.schemas import ERR_FILTERED
+
+    bad = [
+        "http://[fd00::1]/",
+        "http://[fc00::5]/",
+        "http://[fe80::1]/",
+        "http://[ff02::1]/",
+        "http://[fe80::1%25eth0]/",
+    ]
+    accepted, rejected = admit_candidates(
+        _seed_rows(bad + ["http://[2600::1]/"]), crawl_policy(CrawlConfig())
+    )
+    assert accepted.column("url_canon").to_pylist() == ["http://[2600::1]/"]
+    assert rejected.to_pylist() == [{"url": u, "error_type": ERR_FILTERED} for u in bad]
 
 
 def test_ray_crawl_matches_sequential_exactly(ray_session, small_world, tmp_path):
@@ -246,9 +283,9 @@ def test_auto_salt_detects_hot_host(ray_session, tmp_path):
     auto = dataclasses.replace(base, auto_salt=True)
 
     # the decision itself: MG over the admitted seed hosts
-    from gotenberg_ray.frontier.crawler import UrlFilter, admit_candidates
+    from gotenberg_ray.frontier.crawler import admit_candidates, crawl_policy
 
-    accepted, _ = admit_candidates(frontier, UrlFilter([], []))
+    accepted, _ = admit_candidates(frontier, crawl_policy(auto))
     resolved = resolve_auto_salt(auto, accepted)
     assert HOT_HOST in resolved.salt_hosts
     assert resolved.salt_k == 2  # 50% share over 4 shards = 2 fair shares

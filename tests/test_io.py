@@ -95,36 +95,12 @@ class TestResumablePartitionedWrite:
 
 
 class TestAlternateSources:
-    """JSONL / CSV readers — same engine, different landing format."""
+    """CSV reader — same engine, different landing format."""
 
     def _docs(self, sf_dir):
         import pyarrow.parquet as pq
 
         return pq.read_table(f"{sf_dir}/documents.parquet")
-
-    def test_jsonl_roundtrip_matches_parquet(self, ray_session, sf_dir, tmp_path):
-        import json
-
-        from gotenberg_ray import io as gio
-
-        t = self._docs(sf_dir)
-        p = tmp_path / "documents.jsonl"
-        with open(p, "w") as f:
-            for row in t.to_pylist():
-                f.write(json.dumps(row) + "\n")
-        got = (
-            gio.read_jsonl(str(p), columns=["doc_id", "lang", "n_chars"])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        want = (
-            t.select(["doc_id", "lang", "n_chars"])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got[want.columns], want)
 
     def test_csv_roundtrip_matches_parquet(self, ray_session, sf_dir, tmp_path):
         import pyarrow.csv as pacsv
@@ -147,42 +123,6 @@ class TestAlternateSources:
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got[want.columns], want)
-
-    def test_jsonl_feeds_a_pipeline(self, ray_session, sf_dir, tmp_path):
-        """A .jsonl landing file drives the same batch operators as
-        parquet — the engine is source-agnostic past the read."""
-        import json
-
-        import pyarrow.compute as pc
-
-        from gotenberg_ray import io as gio
-
-        t = self._docs(sf_dir)
-        p = tmp_path / "d.jsonl"
-        with open(p, "w") as f:
-            for row in t.to_pylist():
-                f.write(json.dumps(row) + "\n")
-
-        def count_by_lang(b: pa.Table) -> pa.Table:
-            g = b.select(["lang"]).group_by("lang").aggregate([([], "count_all")])
-            return g.rename_columns(["lang", "n"])
-
-        from ray.data.aggregate import Sum
-
-        df = (
-            gio.read_jsonl(str(p), columns=["lang"])
-            .map_batches(count_by_lang, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas()
-            .sort_values("lang")
-            .reset_index(drop=True)
-        )
-        want = (
-            t.to_pandas().groupby("lang").size().rename("n").reset_index()
-        )
-        want["n"] = want["n"].astype(df["n"].dtype)
-        pd.testing.assert_frame_equal(df, want)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -284,62 +224,6 @@ class TestAppendAndCompact:
         after = gio.read_partitioned(out).to_pandas()
         assert len(after) == total
         assert not os.path.exists(os.path.join(bdir, "_compact.ready"))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestReadEvolved:
-    def test_mixed_generations_align(self, tmp_path):
-        # gen 1: (doc_id int32, lang) — no score column yet
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array([1, 2], pa.int32()),
-                    "lang": pa.array(["en", "de"]),
-                }
-            ),
-            str(tmp_path / "gen1.parquet"),
-        )
-        # gen 2: doc_id widened to int64, score added, lang dropped
-        pq.write_table(
-            pa.table(
-                {
-                    "doc_id": pa.array([3], pa.int64()),
-                    "score": pa.array([9], pa.int64()),
-                    "extra": pa.array(["zzz"]),
-                }
-            ),
-            str(tmp_path / "gen2.parquet"),
-        )
-        schema = [
-            ("doc_id", pa.int64()),
-            ("lang", pa.string()),
-            ("score", pa.int64()),
-        ]
-        df = (
-            gio.read_evolved(
-                [str(tmp_path / "gen1.parquet"), str(tmp_path / "gen2.parquet")],
-                schema,
-            )
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        assert list(df.columns) == ["doc_id", "lang", "score"]
-        assert df["doc_id"].tolist() == [1, 2, 3]
-        assert df["lang"].tolist()[:2] == ["en", "de"] and pd.isna(df["lang"][2])
-        assert pd.isna(df["score"][0]) and df["score"][2] == 9
-
-    def test_column_projection(self, tmp_path):
-        pq.write_table(
-            pa.table({"doc_id": pa.array([1], pa.int64())}),
-            str(tmp_path / "a.parquet"),
-        )
-        df = gio.read_evolved(
-            [str(tmp_path / "a.parquet")],
-            [("doc_id", pa.int64()), ("score", pa.int64())],
-            columns=["doc_id"],
-        ).to_pandas()
-        assert list(df.columns) == ["doc_id"]
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -477,84 +361,6 @@ class TestLanceSeam:
             gio.write_table(ds, str(tmp_path / "out"), format="lance")
 
 
-class TestIpcReader:
-    def _write_ipc(self, tmp_path, n_batches=5, rows=200):
-        import pyarrow.ipc as ipc
-
-        path = str(tmp_path / "docs.arrow")
-        schema = pa.schema([("doc_id", pa.int64()), ("text", pa.string())])
-        with ipc.new_file(path, schema) as w:
-            for b in range(n_batches):
-                ids = list(range(b * rows, (b + 1) * rows))
-                w.write_batch(
-                    pa.record_batch(
-                        [pa.array(ids, pa.int64()),
-                         pa.array([f"doc {i}" for i in ids])],
-                        schema=schema,
-                    )
-                )
-        return path, n_batches * rows
-
-    def test_roundtrip_and_pruning(self, ray_session, tmp_path):
-        path, total = self._write_ipc(tmp_path)
-        ds = gio.read_ipc(path)
-        assert ds.count() == total
-        pruned = gio.read_ipc(path, columns=["doc_id"])
-        assert pruned.schema().names == ["doc_id"]
-        got = sorted(pruned.to_pandas()["doc_id"].tolist())
-        assert got == list(range(total))
-
-    def test_parallelizes_over_record_batches(self, ray_session, tmp_path):
-        path, _ = self._write_ipc(tmp_path, n_batches=8)
-        ds = gio.read_ipc(path, num_blocks=4).materialize()
-        assert ds.num_blocks() > 1
-
-    def test_empty_file(self, ray_session, tmp_path):
-        import pyarrow.ipc as ipc
-
-        path = str(tmp_path / "empty.arrow")
-        schema = pa.schema([("a", pa.int64())])
-        with ipc.new_file(path, schema):
-            pass
-        ds = gio.read_ipc(path, columns=["a"])
-        assert ds.count() == 0 and ds.schema().names == ["a"]
-
-    def test_ipc_feeds_a_pipeline(self, ray_session, sf_dir, tmp_path):
-        """Source-format parity: the same transform over the same rows
-        must not care whether they arrived as parquet or Arrow IPC."""
-        import pyarrow.ipc as ipc
-
-        from gotenberg_ray.functions import textkit as T
-
-        t = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
-        path = str(tmp_path / "documents.arrow")
-        with ipc.new_file(path, t.schema) as w:
-            w.write_table(t, max_chunksize=512)
-
-        def tok(batch):
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "n_tokens": pa.array(
-                        T.token_counts(batch["text"].to_pylist())
-                    ),
-                }
-            )
-
-        def run(ds):
-            return (
-                ds.map_batches(tok, batch_format="pyarrow")
-                .to_pandas()
-                .sort_values("doc_id")
-                .reset_index(drop=True)
-            )
-
-        pd.testing.assert_frame_equal(
-            run(gio.read_ipc(path, columns=["doc_id", "text"])),
-            run(gio.read_table(sf_dir, "documents", ["doc_id", "text"])),
-        )
-
-
 @pytest.mark.usefixtures("ray_session")
 class TestReviewRegressions:
     def test_noop_resume_short_circuits_with_empty_buckets(self, tmp_path):
@@ -616,31 +422,3 @@ class TestReviewRegressions:
         snap1 = read_partitioned(out, as_of=2).to_pandas()
         assert len(snap1) == 17
         assert len(read_partitioned(out).to_pandas()) == 17
-
-    def test_read_evolved_handles_columnless_files_and_empty_paths(
-        self, tmp_path
-    ):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from gotenberg_ray.io import read_evolved
-
-        schema = [("a", pa.int64()), ("b", pa.string())]
-        # file 1: has both; file 2: stores NONE of the targets
-        p1 = str(tmp_path / "f1.parquet")
-        pq.write_table(
-            pa.table({"a": pa.array([1, 2], pa.int64()),
-                      "b": pa.array(["x", "y"])}), p1
-        )
-        p2 = str(tmp_path / "f2.parquet")
-        pq.write_table(
-            pa.table({"legacy": pa.array([10, 20, 30], pa.int64())}), p2
-        )
-        df = read_evolved([p1, p2], schema).to_pandas()
-        assert len(df) == 5
-        assert df["a"].notna().sum() == 2 and df["a"].isna().sum() == 3
-        empty_ds = read_evolved([], schema)
-        assert empty_ds.count() == 0
-        # Ray's to_pandas drops labels on empty datasets; the declared
-        # schema survives on the Dataset itself
-        assert empty_ds.schema().names == ["a", "b"]

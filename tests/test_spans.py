@@ -41,12 +41,6 @@ def test_page_selection():
         S.parse_page_selection("x-y", 3)
 
 
-def test_merge_is_input_order():
-    m = S.merge_spans([doc(2, "A"), doc(1, "B")])
-    assert S.page_count(m) == 3
-    assert texts(m) == ["A 1", "A 2", "B 1"]
-
-
 def test_split_intervals_fixture_case():
     # FIXTURES.md golden case 4: 3-page doc, intervals span=2 → (p1,p2), (p3)
     parts = S.split_spans(doc(3), S.SPLIT_INTERVALS, "2")
@@ -129,18 +123,6 @@ def test_write_metadata_is_merge_with_guards():
         S.write_metadata("", {"bad key!": "v"})
     with pytest.raises(S.InvalidInput):
         S.write_metadata("", {"K": "a\x00b"})
-
-
-def test_bookmark_shift_and_merge_running_offsets():
-    # FIXTURES golden case 6 / routes.go:1016-1043
-    bms_a = [{"title": "A1", "page": 1, "children": [{"title": "A1.1", "page": 2, "children": []}]}]
-    bms_b = [{"title": "B1", "page": 1, "children": []}]
-    merged = S.merge_bookmarks([("a.pdf", 3, bms_a), ("b.pdf", 2, bms_b)])
-    assert merged[0]["page"] == 1 and merged[0]["children"][0]["page"] == 2
-    assert merged[1]["page"] == 4  # shifted by 3
-    auto = S.merge_bookmarks([("a.pdf", 3, bms_a), ("b.pdf", 2, bms_b)], auto_index=True)
-    assert [b["title"] for b in auto] == ["a.pdf", "b.pdf"]
-    assert auto[1]["page"] == 4 and auto[1]["children"][0]["page"] == 4
 
 
 def test_encrypt_owner_default_and_perm_validation():

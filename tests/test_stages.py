@@ -1,4 +1,4 @@
-"""Media pipeline, supervisor semantics, webhook sink, scalar helpers."""
+"""Media pipeline, webhook sink, scalar helpers."""
 
 import pyarrow as pa
 import pytest
@@ -9,7 +9,6 @@ from gotenberg_ray.stages.media import (
     MediaFeatureExtractor,
     synth_media_table,
 )
-from gotenberg_ray.stages.supervisor import CoreDumped, Supervisor, SupervisorConfig
 from gotenberg_ray.stages.webhook import WebhookSender, sniff_content_type
 
 
@@ -65,93 +64,6 @@ def test_media_stage_runs_in_ray_data(ray_session):
     df = out.to_pandas()
     assert len(df) == 200
     assert df["decode_ok"].all()
-
-
-# ------------------------------------------------------------- supervisor
-
-
-class FakeBackend:
-    def __init__(self):
-        self.starts = 0
-        self.stops = 0
-        self.health = True
-
-    def start(self):
-        self.starts += 1
-
-    def stop(self):
-        self.stops += 1
-
-    def healthy(self):
-        return self.health
-
-
-def test_supervisor_lazy_start_and_recycle_after_n():
-    b = FakeBackend()
-    s = Supervisor(b, SupervisorConfig(restart_after=3))
-    assert b.starts == 0  # lazy (supervisor.go:475-495)
-    for i in range(7):
-        out, err, attempts = s.run(lambda x: x * 2, i)
-        assert err == "" and out == i * 2
-    # restarts after every 3 conversions → 2 recycles in 7 runs
-    assert s.restart_count == 2
-    assert b.starts == 3 and b.stops == 2
-
-
-def test_supervisor_coredump_retries_bounded():
-    b = FakeBackend()
-    s = Supervisor(b, SupervisorConfig(max_retries=4))
-    calls = {"n": 0}
-
-    def flaky(_):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise CoreDumped()
-        return "ok"
-
-    out, err, attempts = s.run(flaky, None)
-    assert out == "ok" and err == "" and attempts == 3
-    assert s.restart_count == 2  # each crash restarted the backend
-
-    def always(_):
-        raise CoreDumped()
-
-    out, err, attempts = s.run(always, None)
-    assert out is None and err == "restart" and attempts == 4
-
-
-def test_supervisor_health_cache_and_threshold():
-    b = FakeBackend()
-    clock = {"t": 0.0}
-    s = Supervisor(b, SupervisorConfig(health_ttl_s=2.0), clock=lambda: clock["t"])
-    s.run(lambda x: x, 1)
-    b.health = False
-    clock["t"] = 3.0
-    assert s.healthy()  # first failure tolerated (threshold 2)
-    clock["t"] = 6.0
-    assert not s.healthy()  # second consecutive failure
-    # TTL cache: flipping health back isn't seen until TTL expires
-    b.health = True
-    assert not s.healthy()
-    clock["t"] = 9.0
-    assert s.healthy()
-
-
-def test_supervisor_deadline_and_unknown():
-    b = FakeBackend()
-    clock = {"t": 0.0}
-    s = Supervisor(
-        b, SupervisorConfig(task_deadline_s=5.0), clock=lambda: clock["t"]
-    )
-
-    def slow(_):
-        clock["t"] += 10.0
-        return "late"
-
-    out, err, _ = s.run(slow, None)
-    assert err == "timeout" and out is None
-    out, err, _ = s.run(lambda _: 1 / 0, None)
-    assert err == "unknown"
 
 
 # ---------------------------------------------------------------- webhook
@@ -224,34 +136,6 @@ def test_sniff_content_type():
 # ----------------------------------------------------------------- scalars
 
 
-def test_inches_parser():
-    assert SC.parse_inches("8.5") == 8.5
-    assert SC.parse_inches("72pt") == 1.0
-    assert abs(SC.parse_inches("25.4mm") - 1.0) < 1e-9
-    assert SC.parse_inches("96px") == 1.0
-    with pytest.raises(ValueError):
-        SC.parse_inches("10furlongs")
-
-
-def test_byte_size_and_duration():
-    assert SC.parse_byte_size("5MB") == 5_000_000
-    assert SC.parse_byte_size("1GiB") == 1024**3
-    assert SC.parse_duration("30s") == 30.0
-    assert SC.parse_duration("1h30m") == 5400.0
-    assert SC.parse_duration("500ms") == 0.5
-    # Go time.ParseDuration parity: bare "0" and signed durations
-    assert SC.parse_duration("0") == 0.0
-    assert SC.parse_duration("-0") == 0.0
-    assert SC.parse_duration("+1h") == 3600.0
-    assert SC.parse_duration("-1.5h") == -5400.0
-    with pytest.raises(ValueError):
-        SC.parse_duration("nope")
-    with pytest.raises(ValueError):
-        SC.parse_duration("1")  # non-zero number needs a unit
-    with pytest.raises(ValueError):
-        SC.parse_duration("--1h")
-
-
 def test_alphanumeric_sort_matches_reference_families():
     # sort.go: prefix-number, ext-suffix-number, trailing-number, lexicographic
     names = ["10.pdf", "2.pdf", "a_10.pdf", "a_2.pdf", "b.pdf", "a.pdf"]
@@ -278,28 +162,11 @@ def test_sanitize_filename_zip_slip():
     assert SC.sanitize_filename("café.pdf") == "café.pdf"  # NFC
 
 
-def test_samesite_normalizer():
-    import pytest as _pytest
-
-    assert SC.normalize_samesite("LAX") == "Lax"
-    assert SC.normalize_samesite(" strict ") == "Strict"
-    assert SC.normalize_samesite("None") == "None"
-    with _pytest.raises(ValueError):
-        SC.normalize_samesite("bogus")
-
-
 def test_scoped_header_parser():
     v, scope = SC.parse_scoped_header("Bearer tok; scope=https://api\\..*")
     assert v == "Bearer tok" and scope.match("https://api.example.com/x")
     v, scope = SC.parse_scoped_header("plain-value")
     assert v == "plain-value" and scope is None
-
-
-def test_xml_escape_and_qpdf_prefix():
-    assert SC.xml_escape('<a b="c">&\'') == "&lt;a b=&quot;c&quot;&gt;&amp;&apos;"
-    assert SC.strip_qpdf_prefix("u:hello") == ("u", "hello")
-    assert SC.strip_qpdf_prefix("b:aGk=") == ("b", "aGk=")
-    assert SC.strip_qpdf_prefix("plain") == ("u", "plain")
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,5 +1,5 @@
-"""Sub-resource admission algebra (pause filter): cases transcribed
-from the reference's own tests —
+"""Sub-resource admission algebra (pause filter) and the outbound policy
+every caller shares: cases transcribed from the reference's own tests —
 /root/reference/pkg/modules/chromium/events_test.go:65-109
 (isAllowedFileSubResource) and
 /root/reference/pkg/gotenberg/outbound_test.go:128-299
@@ -10,16 +10,21 @@ import re
 import pyarrow as pa
 import pytest
 
-from gotenberg_ray.schemas import DOCUMENTS_SCHEMA
-from gotenberg_ray.stages.subresource import (
-    DECISION_SCHEMA,
+from gotenberg_ray.frontier.crawler import CrawlConfig, admit_candidates, crawl_policy
+from gotenberg_ray.functions.urlkit import (
     REASON_ALLOW_LIST,
     REASON_DENY_LIST,
-    REASON_FILE_PREFIX,
     REASON_PRIVATE_IP,
     REASON_PUBLIC_IP,
+    UrlFilter,
+    canonicalize_url,
+    url_host,
+)
+from gotenberg_ray.schemas import DOCUMENTS_SCHEMA, ERR_FILTERED
+from gotenberg_ray.stages.subresource import (
+    DECISION_SCHEMA,
+    REASON_FILE_PREFIX,
     SubResourceAdmission,
-    filter_outbound_url,
     is_allowed_file_subresource,
 )
 
@@ -73,12 +78,65 @@ OUTBOUND_CASES = [
     # denyPublicIPs inverts the class check
     ("https://1.1.1.1/", [], [], False, True, REASON_PUBLIC_IP),
     ("http://10.0.0.8/", [], [], False, True, ""),
+    # a private literal passes when neither IP flag is set
+    ("http://10.1.2.3/", [], [], False, False, ""),
+    # IPv4-mapped IPv6 is judged as the IPv4 it wraps
+    ("http://[::ffff:8.8.8.8]/", [], [], True, False, ""),
+    ("http://[::ffff:8.8.8.8]/", [], [], False, True, REASON_PUBLIC_IP),
+    # non-public IPv6 literals whose first character is a hex letter
+    ("http://[fd00::1]/", [], [], True, False, REASON_PRIVATE_IP),
+    ("http://[fe80::1%25eth0]/", [], [], True, False, REASON_PRIVATE_IP),
+    # a trailing dot does not hide an IP literal
+    ("http://127.0.0.1./", [], [], True, False, REASON_PRIVATE_IP),
+    # no host: nothing for the IP-class policy to judge
+    ("http:///path", [], [], True, False, ""),
+    # deny beats allow, and an allow match does not skip the IP check
+    (
+        "https://internal.allowed/x",
+        [re.compile(r"^https://internal\.allowed/")],
+        [re.compile(r"allowed")],
+        False,
+        False,
+        REASON_DENY_LIST,
+    ),
+    ("http://10.9.9.9/x", [re.compile(r"^http://10\.9\.")], [], True, False, REASON_PRIVATE_IP),
 ]
 
 
 @pytest.mark.parametrize("url,allow,deny,dpriv,dpub,want", OUTBOUND_CASES)
 def test_filter_outbound_url(url, allow, deny, dpriv, dpub, want):
-    assert filter_outbound_url(url, allow, deny, dpriv, dpub) == want
+    policy = UrlFilter(allow, deny, dpriv, dpub)
+    assert policy.reasons([url], [url_host(url)]).tolist() == [want]
+
+
+CRAWL_CASES = [
+    c for c in OUTBOUND_CASES if c[0].startswith(("http://", "https://")) and c[3] and not c[4]
+]
+
+
+@pytest.mark.parametrize("url,allow,deny,dpriv,dpub,want", CRAWL_CASES)
+def test_crawl_admission_agrees_with_outbound_policy(url, allow, deny, dpriv, dpub, want):
+    """The crawl's admission (non-public literals always denied) filters
+    exactly the rows the outbound policy gives a reason."""
+    if canonicalize_url(url) != url:
+        pytest.skip("the crawl matches the canonical form, which differs from this raw URL")
+    cfg = CrawlConfig(allow=tuple(p.pattern for p in allow), deny=tuple(p.pattern for p in deny))
+    batch = pa.table(
+        {
+            "url": [url],
+            "priority": pa.array([0], pa.int32()),
+            "next_fetch_time": pa.array([0], pa.int64()),
+            "route": ["convert/url"],
+            "doc_id": ["d0"],
+            "options_json": ["{}"],
+            "seq": pa.array([0], pa.int64()),
+        }
+    )
+    accepted, rejected = admit_candidates(batch, crawl_policy(cfg))
+    if want:
+        assert rejected.to_pylist() == [{"url": url, "error_type": ERR_FILTERED}]
+    else:
+        assert accepted.column("url_canon").to_pylist() == [url]
 
 
 def _pages(rows):

@@ -59,15 +59,18 @@ def test_batch_matches_scalar():
 
 def test_filter_allow_or_semantics_deny_always_wins():
     # filter.go:20-70: empty allow = all; non-empty allow = OR; deny always applies
+    def passes(f, url):
+        return f.reasons([url], [U.url_host(url)])[0] == ""
+
     f = U.UrlFilter()
-    assert f.decide("http://anything/")
+    assert passes(f, "http://anything/")
     f = U.UrlFilter(allow=[r"\.org/", r"\.com/"])
-    assert f.decide("http://a.org/")
-    assert not f.decide("http://a.net/")
+    assert passes(f, "http://a.org/")
+    assert not passes(f, "http://a.net/")
     f = U.UrlFilter(allow=[r"\.org/"], deny=[r"/private/"])
-    assert not f.decide("http://a.org/private/x")
+    assert not passes(f, "http://a.org/private/x")
     f = U.UrlFilter(deny=[r"evil"])
-    assert not f.decide("http://evil.com/")
+    assert not passes(f, "http://evil.com/")
 
 
 def test_reject_file_scheme():
