@@ -80,7 +80,8 @@ def main():
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     qs, oracles = m.queries(), m.oracle_sql()
-    failures = 0
+    failures = twins = rows_only = 0
+    t_all = time.time()
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -106,7 +107,15 @@ def main():
         status = verdict if verdict.startswith(("OK", "rows-only")) else "FAIL " + verdict
         if status.startswith("FAIL"):
             failures += 1
+        elif name in oracles:
+            twins += 1
+        else:
+            rows_only += 1
         print(f"{name:28s} {dt:6.2f}s  {status}")
+    print(
+        f"summary: {twins} twins OK, {rows_only} rows-only, "
+        f"{failures} failures, {time.time() - t_all:.0f}s"
+    )
     ray.shutdown()
     sys.exit(1 if failures else 0)
 
