@@ -15,18 +15,25 @@ registered query).
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 
 
-def ensure_columns(df: pd.DataFrame, spec: dict[str, str]) -> pd.DataFrame:
+def ensure_columns(
+    df: pd.DataFrame, spec: dict[str, str] | pa.Schema
+) -> pd.DataFrame:
     """Return ``df`` unchanged when it already carries the declared
     columns; otherwise (the label-less empty-result case) produce an
     empty frame with exactly the declared columns and dtypes.
 
     ``spec`` maps column name → pandas dtype string (e.g. "int64",
-    "object", "float64", "datetime64[us]")."""
-    if set(spec) <= set(df.columns):
+    "object", "float64", "datetime64[us]"), or is the Arrow schema a
+    pipeline already declared (``joins.bucket_fold``'s)."""
+    names = spec.names if isinstance(spec, pa.Schema) else list(spec)
+    if set(names) <= set(df.columns):
         return df
     if len(df):  # non-empty but missing promised columns — a real bug
-        missing = sorted(set(spec) - set(df.columns))
+        missing = sorted(set(names) - set(df.columns))
         raise KeyError(f"result is missing declared columns {missing}")
+    if isinstance(spec, pa.Schema):
+        return spec.empty_table().to_pandas()
     return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in spec.items()})

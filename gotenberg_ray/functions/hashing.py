@@ -155,17 +155,6 @@ def hash_family(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def shingle_hashes(tokens: list[str], n: int = 3) -> np.ndarray:
-    """uint64 hashes of word n-gram shingles of a token list."""
-    if len(tokens) < n:
-        joined = [" ".join(tokens)] if tokens else []
-    else:
-        joined = [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-    if not joined:
-        return np.empty(0, dtype=np.uint64)
-    return fnv64(joined)
-
-
 def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> int:
     """64-bit SimHash of token hashes (optionally weighted)."""
     if len(token_hashes) == 0:
@@ -257,8 +246,9 @@ def shingle_hashes_batch(
     texts: pa.Array | pa.ChunkedArray, n: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Word n-gram shingle hashes for a WHOLE text column at once:
-    (uint64 values, int64 row offsets). Identical values to calling
-    ``shingle_hashes(text.split(), n)`` per row — the shingle strings
+    (uint64 values, int64 row offsets): per row, the fnv64 of each
+    space-joined run of ``n`` whitespace tokens (fewer than ``n`` tokens
+    → one all-tokens shingle; no tokens → none). The shingle strings
     are materialized by C kernels (split_whitespace + element-wise
     join) and hashed in ONE ``fnv64`` call, so the per-row Python of
     the scalar path (string slicing + joins) never runs."""

@@ -26,8 +26,18 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 CARRY = 1_000_000_000  # base-10⁹ limb split
+
+
+def to_cents(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
+    """2-decimal money column → exact int64 cents: ×100, ties rounded
+    away from zero (DuckDB's ``round``), so twins hash the same ints."""
+    return pc.cast(
+        pc.round(pc.multiply(col, 100.0), round_mode="half_towards_infinity"),
+        pa.int64(),
+    )
 
 
 def split_limbs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,22 +2,18 @@
 
 - alphanumeric_key: the natural-sort comparator of
   /root/reference/pkg/gotenberg/sort.go:26-113 — prefix number, then
-  extension-suffix number, then trailing number, then lexicographic —
-  and digit_suffix_key (pdfcpu/sort.go:10-68) for split outputs. Our
-  engine sorts by explicit part_index columns; these exist for
+  extension-suffix number, then trailing number, then lexicographic.
+  Our engine sorts by explicit part_index columns; this exists for
   fixture-name parity.
 - parse_scoped_header: the extraHttpHeaders `value; scope=regex`
   grammar; sanitize_filename: the downloadFrom Zip-Slip defense.
-- cap_attr / redact_url (gotenberg/attrs.go): log-attribute hygiene.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cmp_to_key as _cmp_to_key
-from urllib.parse import urlsplit, urlunsplit
 
-_NUM_TRAIL = re.compile(r"(\d+)$")
 _GO_PREFIX = re.compile(r"^(\d+)(.*)$")
 _GO_EXT_SUFFIX = re.compile(r"^(.*?)(\d+)(\.[^.]+)$")
 _GO_SUFFIX = re.compile(r"^(.*?)(\d+)$")
@@ -71,45 +67,6 @@ def _alphanumeric_cmp(a: str, b: str) -> int:
 
 
 alphanumeric_key = _cmp_to_key(_alphanumeric_cmp)
-
-
-def digit_suffix_key(name: str):
-    """pdfcpu split-output sort (pdfcpu/sort.go:10-68): numeric suffix
-    before the extension."""
-    stem, dot, _ext = name.rpartition(".")
-    base = stem if dot else name
-    m = _NUM_TRAIL.search(base)
-    return (base[: m.start()] if m else base, int(m.group(1)) if m else -1)
-
-
-def cap_attr(value: str, limit: int = 512) -> str:
-    """Truncate long log attributes (gotenberg/attrs.go CapAttr)."""
-    if len(value) <= limit:
-        return value
-    return value[: limit - 1] + "…"
-
-
-def redact_url(url: str) -> str:
-    """Strip userinfo + query values from logged URLs (RedactURL)."""
-    try:
-        p = urlsplit(url)
-        port = p.port  # .port raises on out-of-range/non-numeric ports
-        host = p.hostname or ""
-    except ValueError:
-        # log hygiene must never crash on attacker-supplied URLs —
-        # fall back to the raw string rather than raising
-        return url
-    netloc = host
-    if port:
-        netloc = f"{netloc}:{port}"
-    if p.username:
-        netloc = f"xxx@{netloc}"
-    query = "&".join(
-        f"{kv.split('=', 1)[0]}=xxx" if "=" in kv else kv
-        for kv in p.query.split("&")
-        if kv
-    )
-    return urlunsplit((p.scheme, netloc, p.path, query, ""))
 
 
 def sanitize_filename(name: str) -> str:

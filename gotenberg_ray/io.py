@@ -200,27 +200,12 @@ def write_table(ds: rd.Dataset, path: str, format: str = "parquet", **kwargs) ->
     ds.write_parquet(path, **kwargs)
 
 
-def read_csv(
-    path: str,
-    columns: list[str] | None = None,
-    num_blocks: int | None = None,
-) -> rd.Dataset:
-    """CSV source, same block policy; ``columns`` projects post-read
-    (CSV is row-major — no decoder pruning exists to push into)."""
-    nb = num_blocks or blocks_for(path)
-    ds = rd.read_csv(path, override_num_blocks=nb)
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
-
-
 def write_partitioned(
     ds: rd.Dataset,
     path: str,
     key: str,
     num_partitions: int = 32,
     direct: bool = False,
-    append: bool = False,
 ) -> dict:
     """Resumable partitioned sink: rows are hash-bucketed on ``key``
     into ``num_partitions`` directories, each written atomically (data
@@ -240,18 +225,7 @@ def write_partitioned(
     ``direct=True`` uses the key VALUE itself (mod num_partitions) as
     the bucket id instead of its hash — for layout-aware sinks (z-order
     cells, label partitions) where the caller needs a value→directory
-    mapping it can prune on at read time.
-
-    ``append=True`` switches to incremental-ingest semantics: each run
-    adds a NEW ``part-<g>.parquet`` per non-empty bucket, where ``g``
-    is the LAYOUT-LEVEL landing generation (a ``_GEN`` counter file
-    the driver advances once per landing) — one uniform generation
-    number per landing across every bucket, so ``as_of=k`` snapshots
-    stay consistent even when a landing hashes no rows into some
-    bucket or a compaction collapsed earlier parts (per-bucket file
-    COUNTS skewed exactly there — review-found). The ``_COMPLETE``
-    marker's row count accumulates; ``compact_partitioned`` later
-    folds the small files."""
+    mapping it can prune on at read time."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -259,56 +233,33 @@ def write_partitioned(
     from .pipelines.joins import partition_ids
 
     os.makedirs(path, exist_ok=True)
-    done = set()
     all_marker = os.path.join(path, "_ALL_COMPLETE")
-    generation = 0
-    if not append:
-        if os.path.exists(all_marker):
-            # fully-written layout: short-circuit BEFORE the Dataset
-            # executes — a no-op resume must not pay the corpus scan.
-            # The layout-level marker (written after a full successful
-            # run) covers layouts where some buckets legitimately
-            # received no rows, which the per-bucket count below never
-            # could (review-found: such layouts re-scanned forever)
-            with open(all_marker) as f:
-                n_done = int(f.read() or 0)
-            return {
-                "written_buckets": 0,
-                "written_rows": 0,
-                "skipped_buckets": n_done,
-            }
-        done = {
-            int(d.split("-")[1])
-            for d in os.listdir(path)
-            if d.startswith("bucket-")
-            and os.path.exists(os.path.join(path, d, "_COMPLETE"))
+    if os.path.exists(all_marker):
+        # fully-written layout: short-circuit BEFORE the Dataset
+        # executes — a no-op resume must not pay the corpus scan.
+        # The layout-level marker (written after a full successful
+        # run) covers layouts where some buckets legitimately
+        # received no rows, which the per-bucket count below never
+        # could (review-found: such layouts re-scanned forever)
+        with open(all_marker) as f:
+            n_done = int(f.read() or 0)
+        return {
+            "written_buckets": 0,
+            "written_rows": 0,
+            "skipped_buckets": n_done,
         }
-        if len(done) >= num_partitions:
-            return {
-                "written_buckets": 0,
-                "written_rows": 0,
-                "skipped_buckets": len(done),
-            }
-    else:
-        gen_file = os.path.join(path, "_GEN")
-        if os.path.exists(gen_file):
-            with open(gen_file) as f:
-                generation = int(f.read() or 0)
-        else:
-            # legacy/first landing: infer from the highest existing
-            # part index across buckets (compaction without _GEN is
-            # the documented time-travel forfeit)
-            hi = -1
-            for d in os.listdir(path):
-                if not d.startswith("bucket-"):
-                    continue
-                for f_ in os.listdir(os.path.join(path, d)):
-                    if f_.startswith("part-") and f_.endswith(".parquet"):
-                        try:
-                            hi = max(hi, int(f_[5:-8]))
-                        except ValueError:
-                            pass
-            generation = hi + 1
+    done = {
+        int(d.split("-")[1])
+        for d in os.listdir(path)
+        if d.startswith("bucket-")
+        and os.path.exists(os.path.join(path, d, "_COMPLETE"))
+    }
+    if len(done) >= num_partitions:
+        return {
+            "written_buckets": 0,
+            "written_rows": 0,
+            "skipped_buckets": len(done),
+        }
 
     def tag(batch: pa.Table) -> pa.Table:
         if direct:
@@ -327,25 +278,13 @@ def write_partitioned(
         part = part.drop_columns(["__bucket__"])
         bdir = os.path.join(path, f"bucket-{bid}")
         os.makedirs(bdir, exist_ok=True)
-        prior = 0
-        if append:
-            # uniform landing generation across buckets (driver-decided)
-            fname = f"part-{generation}.parquet"
-            marker = os.path.join(bdir, "_COMPLETE")
-            if os.path.exists(marker):
-                with open(marker) as f:
-                    prior = int(f.read() or 0)
-        else:
-            fname = "part.parquet"
-        # Two-phase write: a kill mid-write must never leave a torn
-        # parquet under a name read_partitioned includes (append-mode
-        # buckets already carry a _COMPLETE marker from prior landings,
-        # so the marker alone can't shield a torn part-<k>.parquet).
-        tmp = os.path.join(bdir, f"_{fname}.tmp")
+        # two-phase write: a kill mid-write never leaves a torn
+        # part.parquet, and the marker lands only after it
+        tmp = os.path.join(bdir, "_part.parquet.tmp")
         pq.write_table(part, tmp)
-        os.replace(tmp, os.path.join(bdir, fname))
+        os.replace(tmp, os.path.join(bdir, "part.parquet"))
         with open(os.path.join(bdir, "_COMPLETE"), "w") as f:
-            f.write(str(prior + part.num_rows))
+            f.write(str(part.num_rows))
         return pa.table({"bucket": [bid], "rows": [part.num_rows]})
 
     written = (
@@ -354,172 +293,18 @@ def write_partitioned(
         .map_groups(write_bucket, batch_format="pyarrow")
         .to_pandas()
     )
-    if append:
-        # advance the landing generation ONLY after every bucket's
-        # two-phase write completed — a killed landing re-lands under
-        # the SAME generation (its finished buckets' part-<g> files are
-        # atomically replaced, never duplicated)
-        tmp = os.path.join(path, "_GEN.tmp")
-        with open(tmp, "w") as f:
-            f.write(str(generation + 1))
-        os.replace(tmp, os.path.join(path, "_GEN"))
-    else:
-        # layout-level completion marker: records how many buckets the
-        # finished layout holds so a no-op resume can short-circuit
-        # even when some buckets received no rows
-        n_buckets = len(
-            [d for d in os.listdir(path) if d.startswith("bucket-")]
-        )
-        tmp = all_marker + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(str(n_buckets))
-        os.replace(tmp, all_marker)
+    # layout-level completion marker: records how many buckets the
+    # finished layout holds so a no-op resume can short-circuit even
+    # when some buckets received no rows
+    n_buckets = len([d for d in os.listdir(path) if d.startswith("bucket-")])
+    tmp = all_marker + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(str(n_buckets))
+    os.replace(tmp, all_marker)
     return {
         "written_buckets": len(written),
         "written_rows": int(written["rows"].sum()) if len(written) else 0,
         "skipped_buckets": len(done),
-    }
-
-
-def read_partitioned(
-    path: str,
-    columns: list[str] | None = None,
-    as_of: int | None = None,
-) -> rd.Dataset:
-    """Read back a ``write_partitioned`` directory (complete buckets
-    only — a half-written bucket without its marker is invisible; all
-    ``part-*.parquet`` files of an append-mode bucket are included).
-
-    ``as_of``: time travel over append-mode landings. Each append run
-    lands exactly one ``part-<k>.parquet`` per non-empty bucket, so
-    generation k of the table is the union of parts 0..k-1;
-    ``as_of=k`` reads only those, reproducing the table as it stood
-    after the k-th landing. Compaction collapses history into
-    ``compacted.parquet`` (documented trade: OPTIMIZE forfeits
-    time travel for the compacted range, as lakehouse engines do when
-    snapshots expire)."""
-
-    def keep(f: str) -> bool:
-        if not f.endswith(".parquet"):
-            return False
-        if as_of is None:
-            return True
-        if not f.startswith("part-"):
-            return False  # compacted/legacy files have no generation
-        try:
-            return int(f[len("part-") : -len(".parquet")]) < as_of
-        except ValueError:
-            return False
-
-    files = [
-        os.path.join(path, d, f)
-        for d in sorted(os.listdir(path))
-        if d.startswith("bucket-")
-        and os.path.exists(os.path.join(path, d, "_COMPLETE"))
-        for f in sorted(os.listdir(os.path.join(path, d)))
-        if keep(f)
-    ]
-    return rd.read_parquet(files, columns=columns)
-
-
-def compact_partitioned(path: str) -> dict:
-    """Small-file compaction over a ``write_partitioned`` directory —
-    the lakehouse OPTIMIZE step: every complete bucket holding more
-    than one ``part-*.parquet`` (append-mode landings) is rewritten as
-    ONE file.
-
-    Distributed shape: each bucket compacts independently (a Dataset
-    of bucket descriptors fans out over the pool — per-bucket work
-    never leaves its worker, the driver sees one summary row per
-    bucket). Crash-safe per bucket via a manifest + two-phase rename:
-
-    1. ``_compact.manifest`` records EXACTLY which files the merge
-       supersedes (so a part appended between a crash and the healing
-       re-run is never touched);
-    2. the merged file lands as ``_compact.tmp`` (possibly torn on a
-       crash — always discarded), then renames to ``_compact.ready``
-       (complete by construction);
-    3. the manifest's files are unlinked and ready promotes to
-       ``compacted.parquet`` — a name neither write mode ever emits,
-       so a healing promote can't clobber a post-crash append.
-
-    A re-run heals any interrupted bucket: manifest without ready →
-    the merge never completed, drop the manifest; ready + manifest →
-    finish steps 3 exactly as the crashed run would have."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    buckets = [
-        os.path.join(path, d)
-        for d in sorted(os.listdir(path))
-        if d.startswith("bucket-")
-        and os.path.exists(os.path.join(path, d, "_COMPLETE"))
-    ]
-    if not buckets:
-        return {"compacted_buckets": 0, "removed_files": 0, "rows": 0}
-
-    def _promote(bdir: str, ready: str, manifest: str) -> tuple[int, int]:
-        """Steps 3: unlink exactly the superseded files, promote."""
-        with open(manifest) as f:
-            superseded = [ln for ln in f.read().splitlines() if ln]
-        for f_ in superseded:
-            p_ = os.path.join(bdir, f_)
-            if os.path.exists(p_):
-                os.unlink(p_)
-        n_rows = pq.read_metadata(ready).num_rows
-        os.replace(ready, os.path.join(bdir, "compacted.parquet"))
-        os.unlink(manifest)
-        return len(superseded), n_rows
-
-    def compact_one(batch: pa.Table) -> pa.Table:
-        out = []
-        for bdir in batch["bdir"].to_pylist():
-            tmp = os.path.join(bdir, "_compact.tmp")
-            ready = os.path.join(bdir, "_compact.ready")
-            manifest = os.path.join(bdir, "_compact.manifest")
-            if os.path.exists(tmp):  # torn write from a crash
-                os.unlink(tmp)
-            if os.path.exists(ready) and os.path.exists(manifest):
-                n_files, n_rows = _promote(bdir, ready, manifest)  # heal
-                out.append((bdir, n_files, n_rows))
-                continue
-            if os.path.exists(manifest):  # merge never completed
-                os.unlink(manifest)
-            if os.path.exists(ready):  # manifest lost: superseded set
-                os.unlink(ready)  # unknown — discard, re-merge below
-            parts = sorted(
-                f
-                for f in os.listdir(bdir)
-                if f.endswith(".parquet") and not f.startswith("_")
-            )
-            if len(parts) <= 1:
-                continue
-            merged = pa.concat_tables(
-                [pq.read_table(os.path.join(bdir, f)) for f in parts]
-            )
-            with open(manifest, "w") as f:
-                f.write("\n".join(parts))
-            pq.write_table(merged, tmp)
-            os.replace(tmp, ready)
-            n_files, n_rows = _promote(bdir, ready, manifest)
-            out.append((bdir, n_files, n_rows))
-        return pa.table(
-            {
-                "bdir": pa.array([o[0] for o in out]),
-                "n_files": pa.array([o[1] for o in out], pa.int64()),
-                "rows": pa.array([o[2] for o in out], pa.int64()),
-            }
-        )
-
-    res = (
-        rd.from_items([{"bdir": b} for b in buckets])
-        .map_batches(compact_one, batch_format="pyarrow", batch_size=1)
-        .to_pandas()
-    )
-    return {
-        "compacted_buckets": len(res),
-        "removed_files": int((res["n_files"] - 1).sum()) if len(res) else 0,
-        "rows": int(res["rows"].sum()) if len(res) else 0,
     }
 
 

@@ -41,8 +41,9 @@ from ray.data.aggregate import Count, Sum
 
 from ..functions.frames import ensure_columns
 from ..functions.hashing import splitmix64
-from .joins import hash_join
-from .relational import JOIN_PARTITIONS, _read
+from ..io import read_table
+from .joins import bucket_fold, hash_join
+from .relational import JOIN_PARTITIONS
 
 # ------------------------------------------------------------- anti-join
 
@@ -54,8 +55,8 @@ def customers_no_urgent_orders(sf_dir: str, priority: str = "1-URGENT") -> pd.Da
     25-row lookup (true dimension)."""
     import pyarrow.parquet as pq
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    orders = _read(
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    orders = read_table(
         sf_dir, "orders", ["o_custkey", "o_orderpriority"]
     ).filter(expr=f"o_orderpriority == '{priority}'")
 
@@ -150,7 +151,7 @@ def order_price_quantiles(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
         .map_groups(per_priority, batch_format="pandas")
@@ -188,40 +189,28 @@ def distinct_users_daily(sf_dir: str) -> pd.DataFrame:
     data-scale pair key measured ~6× slower — the ARCHITECTURE
     named-aggregate cardinality rule) → per-bucket Arrow dedup +
     per-day partial counts → one tiny day-keyed combine."""
-    from .joins import partition_ids
-    from .relational import JOIN_PARTITIONS
 
     def local_pairs(batch: pa.Table) -> pa.Table:
         day = pc.strftime(pc.floor_temporal(batch["ts"], unit="day"), format="%Y-%m-%d")
         t = pa.table({"day": day, "user_id": batch["user_id"]})
-        t = t.group_by(["day", "user_id"]).aggregate([])
-        # bucket by user alone: a (day,user) pair lands wholly in one
-        # bucket, and the day dimension stays spread across buckets
-        return t.append_column(
-            "pid", partition_ids(t["user_id"], JOIN_PARTITIONS)
-        )
+        return t.group_by(["day", "user_id"]).aggregate([])
 
     def bucket_counts(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "day" not in part.column_names:
-            return pa.table(
-                {"day": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
         g = (
-            part.select(["day", "user_id"])
-            .group_by(["day", "user_id"])
+            part.group_by(["day", "user_id"])
             .aggregate([])  # global dedup within the pair's home bucket
             .group_by("day")
             .aggregate([("user_id", "count")])
         )
         return g.rename_columns(["day", "n"])
 
+    # bucket by user alone: a (day,user) pair lands wholly in one
+    # bucket, and the day dimension stays spread across buckets
     df = (
-        _read(sf_dir, "events", ["ts", "user_id"])
-        .map_batches(local_pairs, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: bucket_counts(t.drop_columns(["pid"])),
-            batch_format="pyarrow",
+        bucket_fold(
+            read_table(sf_dir, "events", ["ts", "user_id"]),
+            "user_id", local_pairs, bucket_counts,
+            pa.schema([("day", pa.string()), ("n", pa.int64())]), JOIN_PARTITIONS,
         )
         .groupby("day")
         .aggregate(Sum("n", alias_name="n_users"))
@@ -298,7 +287,7 @@ def hll_users_per_type(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "events", ["event_type", "user_id"])
+        read_table(sf_dir, "events", ["event_type", "user_id"])
         .map_batches(sketch_batch, batch_format="pyarrow")
         .groupby("event_type")
         .map_groups(merge, batch_format="pandas")
@@ -341,7 +330,7 @@ def quantile_sketch(sf_dir: str, k: int = SKETCH_K) -> pd.DataFrame:
         return pa.table({"pri": pa.array(pri), "cents": pa.array(cents)})
 
     sample = (
-        _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
         .map_batches(local_bottomk, batch_format="pyarrow")
         .to_pandas()
     )
@@ -389,7 +378,7 @@ def heavy_hitter_users(sf_dir: str, capacity: int = 4096, topk: int = 20) -> pd.
         return mg.to_partial_row(pa.int64())
 
     parts = (
-        _read(sf_dir, "events", ["user_id"])
+        read_table(sf_dir, "events", ["user_id"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()
     )
@@ -432,7 +421,7 @@ def docs_above_lang_avg(sf_dir: str) -> pd.DataFrame:
 
     # three consumers (sketch pass, per-lang aggregate, join probe) —
     # materialize the 2-column projection once instead of re-scanning
-    docs = _read(sf_dir, "documents", ["lang", "n_chars"]).materialize()
+    docs = read_table(sf_dir, "documents", ["lang", "n_chars"]).materialize()
 
     def lang_partial(b: pa.Table) -> pa.Table:
         t = pa.table(
@@ -571,7 +560,6 @@ def orders_profile(sf_dir: str) -> pd.DataFrame:
             {
                 "col_name": pa.array(name_arr, pa.string()),
                 "h": pa.array(h),
-                "pid": pa.array((h % np.uint64(P)).astype(np.int32)),
                 "n_rows": pa.array(np.zeros(len(h), np.int64)),
                 "n_null": pa.array(np.zeros(len(h), np.int64)),
             }
@@ -580,42 +568,47 @@ def orders_profile(sf_dir: str) -> pd.DataFrame:
             {
                 "col_name": pa.array([m[0] for m in meta_rows], pa.string()),
                 "h": pa.array(np.zeros(len(meta_rows), np.uint64)),
-                "pid": pa.array(np.full(len(meta_rows), -1, np.int32)),
                 "n_rows": pa.array([m[1] for m in meta_rows], pa.int64()),
                 "n_null": pa.array([m[2] for m in meta_rows], pa.int64()),
             }
         )
         return pa.concat_tables([pairs, meta])
 
-    def bucket_fold(g: pa.Table) -> pa.Table:
-        pid = g["pid"][0].as_py()
-        if pid == -1:  # null/row-count partials: just re-fold sums
-            t = g.select(["col_name", "n_rows", "n_null"])
-            f = t.group_by("col_name").aggregate(
-                [("n_rows", "sum"), ("n_null", "sum")]
-            )
-            f = f.rename_columns(["col_name", "n_rows", "n_null"])
-            return f.append_column(
-                "n_distinct", pa.array(np.zeros(f.num_rows, np.int64))
-            )
-        t = g.select(["col_name", "h"]).group_by(["col_name", "h"]).aggregate([])
+    def fold_bucket(g: pa.Table) -> pa.Table:
+        # a batch's row-count/null partial has n_rows ≥ 1 (a zero-row
+        # batch never reaches the partials stage), a hash row n_rows = 0
+        is_meta = pc.greater(g["n_rows"], 0)
+        m = g.filter(is_meta).select(["col_name", "n_rows", "n_null"])
+        m = m.group_by("col_name").aggregate([("n_rows", "sum"), ("n_null", "sum")])
+        m = m.rename_columns(["col_name", "n_rows", "n_null"])
+        t = g.filter(pc.invert(is_meta)).select(["col_name", "h"])
+        t = t.group_by(["col_name", "h"]).aggregate([])
         d = t.select(["col_name"]).group_by("col_name").aggregate([([], "count_all")])
-        d = d.rename_columns(["col_name", "n_distinct"])
-        n = d.num_rows
-        return pa.table(
-            {
-                "col_name": d["col_name"],
-                "n_rows": pa.array(np.zeros(n, np.int64)),
-                "n_null": pa.array(np.zeros(n, np.int64)),
-                "n_distinct": pc.cast(d["n_distinct"], pa.int64()),
-            }
+        zeros_m = pa.array(np.zeros(m.num_rows, np.int64))
+        zeros_d = pa.array(np.zeros(d.num_rows, np.int64))
+        return pa.concat_tables(
+            [
+                m.append_column("n_distinct", zeros_m),
+                pa.table(
+                    {
+                        "col_name": d["col_name"],
+                        "n_rows": zeros_d,
+                        "n_null": zeros_d,
+                        "n_distinct": pc.cast(d["count_all"], pa.int64()),
+                    }
+                ),
+            ]
         )
 
+    schema = pa.schema(
+        [("col_name", pa.string())]
+        + [(c, pa.int64()) for c in ("n_rows", "n_null", "n_distinct")]
+    )
     df = (
-        _read(sf_dir, "orders", cols)
-        .map_batches(partials, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(bucket_fold, batch_format="pyarrow")
+        bucket_fold(
+            read_table(sf_dir, "orders", cols), "h", partials, fold_bucket, schema, P,
+            pinned=False,
+        )
         .groupby("col_name")
         .aggregate(
             Sum("n_rows", alias_name="n_rows"),
@@ -624,15 +617,7 @@ def orders_profile(sf_dir: str) -> pd.DataFrame:
         )
         .to_pandas()
     )
-    if df.empty:
-        return pd.DataFrame(
-            {
-                "col_name": pd.Series([], dtype="object"),
-                "n_rows": pd.Series([], dtype="int64"),
-                "n_null": pd.Series([], dtype="int64"),
-                "n_distinct": pd.Series([], dtype="int64"),
-            }
-        )
+    df = ensure_columns(df, schema)
     for c in ("n_rows", "n_null", "n_distinct"):
         df[c] = df[c].astype("int64")
     return df.sort_values("col_name").reset_index(drop=True)
@@ -736,7 +721,7 @@ def corr_qty_price(sf_dir: str) -> pd.DataFrame:
         return pa.table(out)
 
     df = (
-        _read(sf_dir, "lineitem",
+        read_table(sf_dir, "lineitem",
               ["l_returnflag", "l_quantity", "l_extendedprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("l_returnflag")
@@ -860,7 +845,7 @@ def orders_price_mad(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
         .map_groups(per_priority, batch_format="pandas")
@@ -942,7 +927,7 @@ def orders_price_outliers(sf_dir: str) -> pd.DataFrame:
         )
 
     out = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
         .aggregate(Sum("n_outliers", alias_name="n_outliers"))
@@ -1018,7 +1003,7 @@ def events_chi2_type_dow(sf_dir: str) -> pd.DataFrame:
         )
 
     cells = (
-        _read(sf_dir, "events", ["ts", "event_type"])
+        read_table(sf_dir, "events", ["ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["event_type", "dow"])
         .aggregate(Sum("o", alias_name="o"))
@@ -1098,12 +1083,12 @@ def cms_event_counts(sf_dir: str) -> pd.DataFrame:
         return pa.table({"sk": pa.array([sk.to_bytes()], pa.binary())})
 
     parts = (
-        _read(sf_dir, "events", ["event_type"])
+        read_table(sf_dir, "events", ["event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()
     )
     keys = (
-        _read(sf_dir, "events", ["event_type"]).unique("event_type") or []
+        read_table(sf_dir, "events", ["event_type"]).unique("event_type") or []
     )
     keys = sorted(keys)
     if not len(parts) or not keys:
@@ -1176,7 +1161,7 @@ def _hll_day_sketches(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "events", ["ts", "user_id"])
+        read_table(sf_dir, "events", ["ts", "user_id"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .map_groups(fold, batch_format="pyarrow")
@@ -1302,7 +1287,7 @@ def hll_set_ops(sf_dir: str) -> pd.DataFrame:
         )
 
     per_kind = (
-        _read(sf_dir, "events", ["event_type", "user_id"])
+        read_table(sf_dir, "events", ["event_type", "user_id"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("kind")
         .map_groups(fold, batch_format="pyarrow")
@@ -1375,7 +1360,7 @@ def orders_cume_dist(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
         .map_groups(fold, batch_format="pandas")
@@ -1450,7 +1435,7 @@ def order_price_median2p(sf_dir: str) -> pd.DataFrame:
     # raw rows); the coarse histogram AND the pinpoint filter both
     # read these cells, so no second pass over storage happens at all
     base = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
         .map_batches(cells, batch_format="pyarrow")
         .materialize()
     )
@@ -1540,19 +1525,15 @@ def user_selfjoin_size(sf_dir: str) -> pd.DataFrame:
     per-bucket partial carries Sum128 limbs (functions/limbs.py) and
     the driver recombines exact Python ints over the P bucket rows."""
     from ..functions.limbs import CARRY
-    from .joins import partition_ids
 
     def local(batch: pa.Table) -> pa.Table:
         u = batch["user_id"].to_numpy(zero_copy_only=False)
         uniq, counts = np.unique(u, return_counts=True)
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": pa.array(uniq.astype(np.int64)),
                 "n": pa.array(counts.astype(np.int64)),
             }
-        )
-        return t.append_column(
-            "pid", partition_ids(t.column("user_id"), JOIN_PARTITIONS)
         )
 
     def per_bucket(part: pa.Table) -> pa.Table:
@@ -1573,15 +1554,14 @@ def user_selfjoin_size(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
-    )
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id"]), "user_id", local, per_bucket,
+        pa.schema(
+            [(c, pa.int64())
+             for c in ("n_events", "n_users", "f2_hi", "f2_lo", "max_f")]
+        ),
+        JOIN_PARTITIONS,
+    ).to_pandas()
     if df.empty:
         return pd.DataFrame(
             {
@@ -1630,30 +1610,15 @@ def user_event_diversity(sf_dir: str) -> pd.DataFrame:
     rows leave the buckets. ``10⁴·N²`` stays under int64 to ~3·10⁷
     events per user; beyond that the fold would carry Sum128 limbs
     like ``user_selfjoin_size``."""
-    from .joins import partition_ids
 
     def local(batch: pa.Table) -> pa.Table:
         t = pa.table(
             {"user_id": batch["user_id"], "event_type": batch["event_type"]}
         )
         g = t.group_by(["user_id", "event_type"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["user_id", "event_type", "n"])
-        return g.append_column(
-            "pid", partition_ids(g.column("user_id"), JOIN_PARTITIONS)
-        )
-
-    _empty = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("n_events", pa.int64()),
-            ("n_types", pa.int64()),
-            ("div_bp", pa.int64()),
-        ]
-    )
+        return g.rename_columns(["user_id", "event_type", "n"])
 
     def per_bucket(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return _empty.empty_table()
         g = part.group_by(["user_id", "event_type"]).aggregate([("n", "sum")])
         u = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         cnt = g["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1670,24 +1635,17 @@ def user_event_diversity(sf_dir: str) -> pd.DataFrame:
                 "n_events": pa.array(total),
                 "n_types": pa.array(n_types),
                 "div_bp": pa.array(div),
-            },
-            schema=_empty,
+            }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "n_events", "n_types", "div_bp")]
     )
-    df = ensure_columns(
-        df,
-        {"user_id": "int64", "n_events": "int64", "n_types": "int64",
-         "div_bp": "int64"},
-    )
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "event_type"]),
+        "user_id", local, per_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1722,7 +1680,7 @@ def selfjoin_size_cms(sf_dir: str) -> pd.DataFrame:
         return pa.table({"sk": pa.array([sk.to_bytes()], pa.binary())})
 
     parts = (
-        _read(sf_dir, "events", ["user_id"])
+        read_table(sf_dir, "events", ["user_id"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()
     )

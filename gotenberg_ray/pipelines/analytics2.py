@@ -24,6 +24,7 @@ from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
 from ..io import read_table
+from .joins import bucket_fold
 
 
 def top_orders_per_customer(sf_dir: str, k: int = 3) -> pd.DataFrame:
@@ -36,7 +37,6 @@ def top_orders_per_customer(sf_dir: str, k: int = 3) -> pd.DataFrame:
     P-group shuffle co-locates every customer's rows, where the whole
     bucket ranks in a single vectorized segment pass (the
     ``top_parts_by_revenue`` pattern)."""
-    from .joins import partition_ids
     from .relational import JOIN_PARTITIONS
 
     def local_prune(batch: pa.Table) -> pa.Table:
@@ -57,18 +57,15 @@ def top_orders_per_customer(sf_dir: str, k: int = 3) -> pd.DataFrame:
         keys = t["o_custkey"].to_numpy(zero_copy_only=False)
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         ends = np.r_[starts[1:], len(keys)]
-        keep = (
-            np.concatenate([np.arange(s, min(s + k, e)) for s, e in zip(starts, ends)])
-            if len(starts)
-            else np.array([], dtype=np.int64)
+        keep = np.concatenate(
+            [np.arange(s, min(s + k, e)) for s, e in zip(starts, ends)]
         )
-        t = t.take(pa.array(keep))
-        return t.append_column("pid", partition_ids(t.column("o_custkey"), JOIN_PARTITIONS))
+        return t.take(pa.array(keep))
 
     def rank_bucket(part: pa.Table) -> pa.Table:
         from ..functions.segments import segment_ranks
 
-        t = part.select(["o_custkey", "o_orderkey", "price_e2"]).sort_by(
+        t = part.sort_by(
             [
                 ("o_custkey", "ascending"),
                 ("price_e2", "descending"),
@@ -79,20 +76,14 @@ def top_orders_per_customer(sf_dir: str, k: int = 3) -> pd.DataFrame:
         t = t.append_column("rn", pa.array(rn))
         return t.filter(pa.array(rn <= k))
 
-    df = (
-        read_table(sf_dir, "orders", columns=["o_custkey", "o_orderkey", "o_totalprice"])
-        .map_batches(local_prune, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(rank_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("o_custkey", "o_orderkey", "price_e2", "rn")]
     )
-    df = ensure_columns(
-        df,
-        {"o_custkey": "int64", "o_orderkey": "int64",
-         "price_e2": "int64", "rn": "int64"},
-    )
-    for c in ("o_custkey", "o_orderkey", "price_e2", "rn"):
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "orders", columns=["o_custkey", "o_orderkey", "o_totalprice"]),
+        "o_custkey", local_prune, rank_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values(["o_custkey", "rn"]).reset_index(drop=True)
 
 
@@ -309,25 +300,14 @@ def events_half_spend(sf_dir: str) -> pd.DataFrame:
     ``map_groups`` would pay per-group overhead |users| times.)
     Timestamps emit as epoch micros (int64) so the pandas ns-vs-us
     dtype gap can't break the oracle hash."""
-    from .joins import partition_ids
     from .relational import JOIN_PARTITIONS
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "pid", partition_ids(batch["user_id"], JOIN_PARTITIONS)
-        )
-
     def fold_bucket(part: pa.Table) -> pa.Table:
-        t = part.select(["user_id", "ts", "event_id", "value"]).sort_by(
+        t = part.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         users = t["user_id"].to_numpy(zero_copy_only=False)
         n = len(users)
-        if n == 0:
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "half_ts_us": pa.array([], pa.int64())}
-            )
         ts_us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         v = np.round(t["value"].to_numpy(zero_copy_only=False) * 100).astype(np.int64)
         starts = np.flatnonzero(np.r_[True, users[1:] != users[:-1]])
@@ -347,16 +327,12 @@ def events_half_spend(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
-    df = ensure_columns(df, {"user_id": "int64", "half_ts_us": "int64"})
-    df["user_id"] = df["user_id"].astype("int64")
-    df["half_ts_us"] = df["half_ts_us"].astype("int64")
+    schema = pa.schema([("user_id", pa.int64()), ("half_ts_us", pa.int64())])
+    df = bucket_fold(
+        read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"]),
+        "user_id", None, fold_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -384,7 +360,6 @@ def event_funnel(sf_dir: str) -> pd.DataFrame:
     bucketed shuffle (``pid = mix64(user)``) → per-bucket vectorized
     pivot + stage evaluation → a 4-int driver sum. Nothing
     user-count-sized leaves the workers un-aggregated."""
-    from .joins import partition_ids
     from .relational import JOIN_PARTITIONS
 
     stages = pa.array(["view", "click", "purchase"], pa.string())
@@ -398,13 +373,10 @@ def event_funnel(sf_dir: str) -> pd.DataFrame:
                 "ts": batch["ts"],
             }
         )
-        g = t.group_by(["user_id", "event_type"]).aggregate([("ts", "min")])
-        return g.append_column(
-            "pid", partition_ids(g.column("user_id"), JOIN_PARTITIONS)
-        )
+        return t.group_by(["user_id", "event_type"]).aggregate([("ts", "min")])
 
     def fold_bucket(part: pa.Table) -> pa.Table:
-        df = part.select(["user_id", "event_type", "ts_min"]).to_pandas()
+        df = part.to_pandas()
         df = df.groupby(["user_id", "event_type"])["ts_min"].min().unstack()
         for c in ("view", "click", "purchase"):
             if c not in df.columns:
@@ -421,30 +393,16 @@ def event_funnel(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        read_table(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in
+         ("n_users", "n_viewed", "n_click_after_view", "n_purchase_funnel")]
     )
-    df = ensure_columns(
-        df,
-        {"n_users": "int64", "n_viewed": "int64",
-         "n_click_after_view": "int64", "n_purchase_funnel": "int64"},
-    )
-    out = pd.DataFrame(
-        {
-            c: [int(df[c].sum())]
-            for c in (
-                "n_users",
-                "n_viewed",
-                "n_click_after_view",
-                "n_purchase_funnel",
-            )
-        }
-    )
-    return out
+    df = bucket_fold(
+        read_table(sf_dir, "events", columns=["user_id", "event_type", "ts"]),
+        "user_id", partial, fold_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
+    return pd.DataFrame({c: [int(df[c].sum())] for c in schema.names})
 
 
 FUNNEL_SQL = """

@@ -14,8 +14,8 @@ the measurement is over token space):
 Distributed shape (both queries): one tokenize pass emits per-batch
 (source, token, cnt) partial histograms; the ONLY exchange is a
 bucket-keyed groupby over that histogram (vocab-scale, not
-corpus-scale — ``pid = fnv64(token) % P`` so every token's per-source
-row group is co-located); each bucket folds to S·(S−1)/2 partial rows
+corpus-scale — ``joins.bucket_fold`` routes by token, so every
+token's per-source row group is co-located); each bucket folds to S·(S−1)/2 partial rows
 with one pandas unstack + numpy pair kernel, and the driver combines
 P·S²/2 tiny partials. Totals per source come from a second aggregate
 over the SAME materialized histogram (vocab-sized — the text is
@@ -37,15 +37,15 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
-from ..functions.hashing import fnv64
-from .relational import _read
+from ..io import read_table
+from .joins import bucket_fold
 
 P_BUCKETS = 32
 PPM = 1_000_000
 
 
 def _hist_parts(sf_dir: str):
-    """Per-batch (pid, source, token, cnt) partial histograms over
+    """Per-batch (source, token, cnt) partial histograms over
     ``documents`` — the shared first stage of both drift queries."""
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -61,19 +61,16 @@ def _hist_parts(sf_dir: str):
             {"source": src[parents[keep]], "token": flat.filter(pa.array(keep))}
         )
         c = df.groupby(["source", "token"], sort=False).size().reset_index(name="cnt")
-        tok_arr = pa.array(c["token"], pa.string())
-        pid = (fnv64(tok_arr) % np.uint64(P_BUCKETS)).astype(np.int32)
         return pa.table(
             {
-                "pid": pa.array(pid),
                 "source": pa.array(c["source"], pa.string()),
-                "token": tok_arr,
+                "token": pa.array(c["token"], pa.string()),
                 "cnt": pa.array(c["cnt"].to_numpy(), pa.int64()),
             }
         )
 
     return (
-        _read(sf_dir, "documents", ["source", "text"])
+        read_table(sf_dir, "documents", ["source", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .materialize()
     )
@@ -140,14 +137,13 @@ def source_tv_distance(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    res = (
-        parts.groupby("pid")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [("source_a", pa.string()), ("source_b", pa.string()), ("s_abs", pa.int64())]
     )
-    res = ensure_columns(
-        res, {"source_a": "object", "source_b": "object", "s_abs": "int64"}
-    )
+    res = bucket_fold(
+        parts, "token", None, per_bucket, schema, P_BUCKETS, pinned=False
+    ).to_pandas()
+    res = ensure_columns(res, schema)
     out = (
         res.groupby(["source_a", "source_b"], sort=True)["s_abs"]
         .sum()
@@ -221,14 +217,13 @@ def source_vocab_jaccard(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    res = (
-        parts.groupby("pid")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [("source_a", pa.string()), ("source_b", pa.string()), ("cnt", pa.int64())]
     )
-    res = ensure_columns(
-        res, {"source_a": "object", "source_b": "object", "cnt": "int64"}
-    )
+    res = bucket_fold(
+        parts, "token", None, per_bucket, schema, P_BUCKETS, pinned=False
+    ).to_pandas()
+    res = ensure_columns(res, schema)
     agg = res.groupby(["source_a", "source_b"], sort=True)["cnt"].sum()
     nv = {s: int(agg.get((s, s), 0)) for s in sources}
     rows = []

@@ -42,7 +42,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions.frames import ensure_columns
-from .joins import hash_join
+from .joins import bucket_fold, hash_join
 
 _I64 = pa.int64()
 _EMPTY = pa.table(
@@ -1305,18 +1305,13 @@ def kcore_nodes(
 
     # ---- distributed path: symmetrize + dedup behind one exchange
     def both_dirs(b: pa.Table) -> pa.Table:
-        from .joins import partition_ids
-
         s = b["src"].to_numpy(zero_copy_only=False)
         d = b["dst"].to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "src": pa.array(np.concatenate([s, d])),
                 "dst": pa.array(np.concatenate([d, s])),
             }
-        )
-        return t.append_column(
-            "pid", partition_ids(t.column("src"), JOIN_PARTITIONS)
         )
 
     def bucket_unique(g: pa.Table) -> pa.Table:
@@ -1327,15 +1322,10 @@ def kcore_nodes(
         keep = np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
         return pa.table({"src": pa.array(u[keep]), "dst": pa.array(v[keep])})
 
-    sym = (
-        edges.map_batches(both_dirs, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: bucket_unique(t.drop_columns(["pid"])),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
+    sym = bucket_fold(
+        edges, "src", both_dirs, bucket_unique,
+        pa.schema([("src", pa.int64()), ("dst", pa.int64())]), JOIN_PARTITIONS,
+    ).materialize()
 
     n_alive = None
     while True:

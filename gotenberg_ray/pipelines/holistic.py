@@ -65,22 +65,14 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
+from ..functions.limbs import to_cents
 from ..functions.segments import bincount_i64
-from .relational import JOIN_PARTITIONS, _read
+from ..io import read_table
+from .joins import bucket_fold
+from .relational import JOIN_PARTITIONS
 from .windows import _fmt_days
 
 K_NAMES = 3  # bounded-k contract for the ordered concat
-
-
-def _cents(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    return (
-        pc.cast(
-            pc.round(pc.multiply(col, 100.0), round_mode="half_towards_infinity"),
-            pa.int64(),
-        )
-        .to_numpy(zero_copy_only=False)
-        .astype(np.int64)
-    )
 
 
 # ------------------------------------------- grouped ordered string_agg
@@ -147,7 +139,7 @@ def segment_first_names(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_name"])
+        read_table(sf_dir, "customer", ["c_nationkey", "c_mktsegment", "c_name"])
         .map_batches(local, batch_format="pyarrow")
         .groupby(["nationkey", "mktsegment"])
         .map_groups(merge, batch_format="pandas")
@@ -214,7 +206,7 @@ def part_price_slope(sf_dir: str) -> pd.DataFrame:
                 }
             )
         x = batch["p_size"].to_numpy(zero_copy_only=False).astype(np.int64)
-        y = _cents(batch["p_retailprice"])
+        y = to_cents(batch["p_retailprice"]).to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "p_type": pa.array(types, pa.string()),
@@ -227,7 +219,7 @@ def part_price_slope(sf_dir: str) -> pd.DataFrame:
         )
 
     g = (
-        _read(sf_dir, "part", ["p_type", "p_size", "p_retailprice"])
+        read_table(sf_dir, "part", ["p_type", "p_size", "p_retailprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("p_type")
         .aggregate(
@@ -298,7 +290,7 @@ def orders_rolling_median(sf_dir: str) -> pd.DataFrame:
             pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
             // (86_400 * 1_000_000)
         )
-        cents = _cents(batch["o_totalprice"])
+        cents = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         uniq, inv = np.unique(days, return_inverse=True)
         return pa.table(
             {
@@ -308,7 +300,7 @@ def orders_rolling_median(sf_dir: str) -> pd.DataFrame:
         )
 
     daily = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .aggregate(Sum("cents", alias_name="revenue_e2"))
@@ -393,8 +385,8 @@ def lineitem_measure_unpivot(sf_dir: str) -> pd.DataFrame:
                     "n": pa.array([], pa.int64()),
                 }
             )
-        qty = _cents(batch["l_quantity"])
-        price = _cents(batch["l_extendedprice"])
+        qty = to_cents(batch["l_quantity"]).to_numpy(zero_copy_only=False)
+        price = to_cents(batch["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = (
             pc.cast(
                 pc.round(
@@ -420,7 +412,7 @@ def lineitem_measure_unpivot(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice", "l_discount"])
+        read_table(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_extendedprice", "l_discount"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["returnflag", "measure"])
         .aggregate(Sum("total", alias_name="total"), Sum("n", alias_name="n"))
@@ -467,7 +459,6 @@ def customer_bag_ops(sf_dir: str) -> pd.DataFrame:
     the session_concurrency lesson applies to aggregates too), then
     the three statistics fold per bucket — Σ min(na,nb),
     Σ max(na−nb,0), Σ max(nb−na,0), Σ(na+nb)."""
-    from .joins import partition_ids
 
     def tag(batch: pa.Table) -> pa.Table:
         pr = batch["o_orderpriority"]
@@ -475,25 +466,17 @@ def customer_bag_ops(sf_dir: str) -> pd.DataFrame:
         batch = batch.filter(keep)
         na = pc.cast(pc.equal(batch["o_orderpriority"], BAG_A), pa.int64())
         nb = pc.cast(pc.equal(batch["o_orderpriority"], BAG_B), pa.int64())
-        t = (
+        return (
             pa.table({"o_custkey": batch["o_custkey"], "na": na, "nb": nb})
             .group_by("o_custkey")
             .aggregate([("na", "sum"), ("nb", "sum")])
             .rename_columns(["o_custkey", "na", "nb"])
         )
-        return t.append_column("pid", partition_ids(t["o_custkey"], JOIN_PARTITIONS))
 
     def fold_bucket(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "na" not in part.column_names:
-            na = nb = np.array([], np.int64)
-        else:
-            g = (
-                part.select(["o_custkey", "na", "nb"])
-                .group_by("o_custkey")
-                .aggregate([("na", "sum"), ("nb", "sum")])
-            )
-            na = g["na_sum"].to_numpy(zero_copy_only=False)
-            nb = g["nb_sum"].to_numpy(zero_copy_only=False)
+        g = part.group_by("o_custkey").aggregate([("na", "sum"), ("nb", "sum")])
+        na = g["na_sum"].to_numpy(zero_copy_only=False)
+        nb = g["nb_sum"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "isect": pa.array([int(np.minimum(na, nb).sum())], pa.int64()),
@@ -503,18 +486,12 @@ def customer_bag_ops(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    stats = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: fold_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
-    )
-    stats = ensure_columns(
-        stats, {"isect": "int64", "ex_a": "int64", "ex_b": "int64", "uni": "int64"}
-    )
+    schema = pa.schema([(c, pa.int64()) for c in ("isect", "ex_a", "ex_b", "uni")])
+    stats = bucket_fold(
+        read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"]),
+        "o_custkey", tag, fold_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    stats = ensure_columns(stats, schema)
 
     def g(k):
         return int(stats[k].sum()) if len(stats) else 0
@@ -558,7 +535,7 @@ def orders_price_histogram(sf_dir: str) -> pd.DataFrame:
     from ray.data.aggregate import Min as _Min
 
     def mm(batch: pa.Table) -> pa.Table:
-        e2 = _cents(batch["o_totalprice"])
+        e2 = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         if len(e2) == 0:
             return pa.table({"lo": pa.array([], pa.int64()), "hi": pa.array([], pa.int64())})
         return pa.table(
@@ -566,7 +543,7 @@ def orders_price_histogram(sf_dir: str) -> pd.DataFrame:
         )
 
     bounds = (
-        _read(sf_dir, "orders", ["o_totalprice"])
+        read_table(sf_dir, "orders", ["o_totalprice"])
         .map_batches(mm, batch_format="pyarrow")
         .aggregate(_Min("lo"), _Max("hi"))
     )
@@ -578,7 +555,7 @@ def orders_price_histogram(sf_dir: str) -> pd.DataFrame:
     den = hi - lo + 1
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        e2 = _cents(batch["o_totalprice"])
+        e2 = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         b = np.minimum(HIST_BINS - 1, (e2 - lo) * HIST_BINS // den)
         uniq, cnt = np.unique(b, return_counts=True)
         return pa.table(
@@ -586,7 +563,7 @@ def orders_price_histogram(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_totalprice"])
+        read_table(sf_dir, "orders", ["o_totalprice"])
         .map_batches(bucketize, batch_format="pyarrow")
         .groupby("bin")
         .aggregate(Sum("n", alias_name="n_orders"))
@@ -619,27 +596,18 @@ def orders_isolated(sf_dir: str) -> pd.DataFrame:
     with a zero gap regardless of tie order, so the predicate is
     tie-insensitive). One custkey-keyed exchange, per-bucket lexsort +
     seam-masked diffs; counts folded per priority."""
-    from .joins import partition_ids
 
     def local(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "c": batch["o_custkey"],
                 "day": pc.cast(batch["o_orderdate"], pa.int64()),
                 "prio": batch["o_orderpriority"],
             }
         )
-        return t.append_column("pid", partition_ids(t["c"], JOIN_PARTITIONS))
 
     def per_bucket(part: pa.Table) -> pa.Table:
         c = part["c"].to_numpy(zero_copy_only=False)
-        if len(c) == 0:
-            return pa.table(
-                {
-                    "priority": pa.array([], pa.string()),
-                    "n_isolated": pa.array([], pa.int64()),
-                }
-            )
         day = part["day"].to_numpy(zero_copy_only=False) // (86_400 * 1_000_000)
         order = np.lexsort((day, c))
         c_s, d_s = c[order], day[order]
@@ -663,11 +631,11 @@ def orders_isolated(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderpriority"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
+        bucket_fold(
+            read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderpriority"]),
+            "c", local, per_bucket,
+            pa.schema([("priority", pa.string()), ("n_isolated", pa.int64())]),
+            JOIN_PARTITIONS,
         )
         .groupby("priority")
         .aggregate(Sum("n_isolated", alias_name="n_isolated"))
@@ -711,7 +679,7 @@ def lineitem_weighted_median(sf_dir: str) -> pd.DataFrame:
         t = pa.table(
             {
                 "returnflag": batch["l_returnflag"],
-                "price_e2": pa.array(_cents(batch["l_extendedprice"])),
+                "price_e2": to_cents(batch["l_extendedprice"]),
                 "w": pc.cast(
                     pc.round(batch["l_quantity"], round_mode="half_towards_infinity"),
                     pa.int64(),
@@ -744,7 +712,7 @@ def lineitem_weighted_median(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"])
+        read_table(sf_dir, "lineitem", ["l_returnflag", "l_extendedprice", "l_quantity"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("returnflag")
         .map_groups(fold, batch_format="pandas")

@@ -34,6 +34,7 @@ import pyarrow.compute as pc
 from ..functions.hashing import fnv64
 from ..functions.frames import ensure_columns
 from ..io import read_table
+from .joins import bucket_fold
 from ..state.bloom import BloomFilter  # module-level: workers resolve
 # UDF globals via the pickled-by-value package, not sys.path
 
@@ -245,7 +246,7 @@ def events_daily_incremental(sf_dir: str, split_mod: int = 10, new_from: int = 8
     ALL events, so the check proves increment + merge ≡ full refresh
     down to exact integer cents."""
     from ray.data.aggregate import Sum
-    from .relational import _rename, _read
+    from .relational import _rename
 
     def agg_slice(want_new: bool):
         def partial(b: pa.Table) -> pa.Table:
@@ -280,7 +281,7 @@ def events_daily_incremental(sf_dir: str, split_mod: int = 10, new_from: int = 8
 
         return partial
 
-    ev = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
+    ev = read_table(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
     # "stored" aggregate (a production refresh reads this from disk)
     stored = ev.map_batches(agg_slice(False), batch_format="pyarrow")
     # the increment: only the new slice is aggregated
@@ -356,7 +357,7 @@ def orders_upsert(sf_dir: str) -> pd.DataFrame:
     bit-identical under any block layout."""
     from ray.data.aggregate import Sum
     from ..functions.segments import segment_starts
-    from .relational import _read, _rename
+    from .relational import _rename
 
     def to_versioned(version: int, as_update: bool):
         def fn(batch: pa.Table) -> pa.Table:
@@ -381,24 +382,22 @@ def orders_upsert(sf_dir: str) -> pd.DataFrame:
                     pa.scalar(100, pa.int64()),
                 )
                 status = pa.array(["X"] * len(key), pa.string())
-            k = key.to_numpy(zero_copy_only=False)
             return pa.table(
                 {
                     "k": key,
                     "status": status,
                     "cents": cents,
-                    "v": pa.array(np.full(len(k), version, np.int64)),
-                    "pid": pa.array((k % UPSERT_P).astype(np.int32)),
+                    "v": pa.array(np.full(len(key), version, np.int64)),
                 }
             )
 
         return fn
 
     cols = ["o_orderkey", "o_orderstatus", "o_totalprice"]
-    base = _read(sf_dir, "orders", cols).map_batches(
+    base = read_table(sf_dir, "orders", cols).map_batches(
         to_versioned(1, False), batch_format="pyarrow"
     )
-    changes = _read(sf_dir, "orders", cols).map_batches(
+    changes = read_table(sf_dir, "orders", cols).map_batches(
         to_versioned(2, True), batch_format="pyarrow"
     )
 
@@ -423,9 +422,14 @@ def orders_upsert(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        base.union(changes)
-        .groupby("pid")
-        .map_groups(merge_bucket, batch_format="pyarrow")
+        bucket_fold(
+            base.union(changes), "k", None, merge_bucket,
+            pa.schema(
+                [("status", pa.string()), ("n_orders", pa.int64()),
+                 ("total_cents", pa.int64())]
+            ),
+            UPSERT_P, pinned=False,
+        )
         .groupby("status")
         .aggregate(
             Sum("n_orders", alias_name="n_orders"),
@@ -512,7 +516,6 @@ def orders_table_diff(sf_dir: str) -> pd.DataFrame:
         cs = np.concatenate([cents[in_v1], c2[in_v2]])
         return pa.table(
             {
-                "pid": pa.array((ks % _DIFF_P).astype(np.int32)),
                 "k": pa.array(ks),
                 "side": pa.array(side),
                 "cents": pa.array(cs),
@@ -554,10 +557,12 @@ def orders_table_diff(sf_dir: str) -> pd.DataFrame:
     from ray.data.aggregate import Sum
 
     df = (
-        read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-        .map_batches(emit, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(classify, batch_format="pyarrow")
+        bucket_fold(
+            read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"]),
+            "k", emit, classify,
+            pa.schema([("change_type", pa.string()), ("n_orders", pa.int64())]),
+            _DIFF_P, pinned=False,
+        )
         .groupby("change_type")
         .aggregate(Sum("n_orders", alias_name="n_orders"))
         .to_pandas()

@@ -88,6 +88,50 @@ def partition_ids(key_col: pa.ChunkedArray | pa.Array, num_partitions: int) -> p
     return pa.array((h % np.uint64(num_partitions)).astype(np.int32))
 
 
+_BUCKET = "__bucket_pid__"
+
+
+def bucket_fold(
+    ds: rd.Dataset,
+    key: str,
+    local: Callable[[pa.Table], pa.Table | None] | None,
+    fold: Callable[[pa.Table], pa.Table | None],
+    schema: pa.Schema,
+    num_partitions: int,
+    *,
+    pinned: bool = True,
+) -> rd.Dataset:
+    """The one hash-bucketed fold: ``local`` per batch (a batch-local
+    partial, or None to route rows as they are), pid =
+    ``partition_ids(key, num_partitions)``, ONE
+    ``groupby(pid).map_groups`` exchange (``num_partitions`` pinned
+    unless ``pinned=False``), then ``fold`` per bucket with the pid
+    dropped. Every row of one key lands in one bucket, so ``fold`` must
+    be exact per key and indifferent to which other keys share it.
+
+    Empty handling lives here only: a zero-row batch skips ``local``,
+    an empty bucket skips ``fold``, and a None from either yields no
+    rows. Each fold result is projected and cast to ``schema``."""
+
+    def route(batch: pa.Table) -> pa.Table:
+        t = local(batch) if local is not None and batch.num_rows else batch
+        if t is None or t.num_rows == 0:
+            return pa.table({_BUCKET: pa.array([], pa.int32())})
+        return t.append_column(_BUCKET, partition_ids(t.column(key), num_partitions))
+
+    def per_bucket(part: pa.Table) -> pa.Table:
+        out = fold(part.drop_columns([_BUCKET])) if part.num_rows else None
+        if out is None or out.num_rows == 0:
+            return schema.empty_table()
+        return out.select(schema.names).cast(schema)
+
+    return (
+        ds.map_batches(route, batch_format="pyarrow")
+        .groupby(_BUCKET, num_partitions=num_partitions if pinned else None)
+        .map_groups(per_bucket, batch_format="pyarrow")
+    )
+
+
 def _salted_pids(dom: np.ndarray, salts: np.ndarray, p: int) -> np.ndarray:
     """pid for (key, salt) — a second splitmix over dom⊕(salt+1) so a
     hot key's sub-streams land on independent partitions."""

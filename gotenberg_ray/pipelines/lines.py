@@ -14,13 +14,13 @@ run may be short). With real crawl text the segmenter is
 
 Distributed shape (two keyed exchanges, both O(corpus)):
 1. explode — per batch, per doc: token chunks → (doc_id, line_idx,
-   line) rows, routed by ``fnv64(line) % P``. Identical lines land in
+   line) rows, routed by the line's hash. Identical lines land in
    one bucket; the *strings* are compared there, so a hash collision
    can never merge two different lines (unlike a sketch pass).
 2. per line-bucket: dictionary-encode the line strings, count
    DISTINCT docs per distinct line in one numpy lexsort pass, flag
    rows whose line occurs in ≥ ``min_docs`` docs.
-3. per doc-bucket (route by ``doc_id % P``): re-sort (doc_id,
+3. per doc-bucket (route by ``doc_id``): re-sort (doc_id,
    line_idx), rebuild the cleaned text from the kept lines with ONE
    ``pc.binary_join`` over an offsets-built ListArray — no per-token
    Python.
@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.frames import ensure_columns
+from .joins import bucket_fold
 
 LINE_TOKENS = 3  # tokens per synthetic "line" (real text: split on \n)
 MIN_DOCS = 2  # a line seen in >= this many distinct docs is boilerplate
@@ -52,9 +53,7 @@ def _docs(sf_dir: str):
 
 
 def _explode_lines(batch: pa.Table) -> pa.Table:
-    """(doc_id, text) rows → (doc_id, line_idx, line, pid) line rows."""
-    from ..functions.hashing import fnv64
-
+    """(doc_id, text) rows → (doc_id, line_idx, line) line rows."""
     ids = batch["doc_id"].to_numpy(zero_copy_only=False)
     doc_out: list[np.ndarray] = []
     idx_out: list[np.ndarray] = []
@@ -68,18 +67,11 @@ def _explode_lines(batch: pa.Table) -> pa.Table:
         )
         doc_out.append(np.full(n_lines, ids[i], np.int64))
         idx_out.append(np.arange(n_lines, dtype=np.int64))
-    lines = pa.array(line_out, pa.string())
-    h = fnv64(lines)
     return pa.table(
         {
-            "doc_id": pa.array(
-                np.concatenate(doc_out) if doc_out else np.array([], np.int64)
-            ),
-            "line_idx": pa.array(
-                np.concatenate(idx_out) if idx_out else np.array([], np.int64)
-            ),
-            "line": lines,
-            "pid": pa.array((h % np.uint64(P)).astype(np.int32)),
+            "doc_id": pa.array(np.concatenate(doc_out)),
+            "line_idx": pa.array(np.concatenate(idx_out)),
+            "line": pa.array(line_out, pa.string()),
         }
     )
 
@@ -103,9 +95,14 @@ def _flag_boilerplate(g: pa.Table) -> pa.Table:
             "line_idx": g["line_idx"],
             "line": g["line"],
             "keep": pa.array(keep),
-            "dpid": pa.array((docs % P).astype(np.int32)),
         }
     )
+
+
+_FLAGGED = pa.schema(
+    [("doc_id", pa.int64()), ("line_idx", pa.int64()),
+     ("line", pa.string()), ("keep", pa.bool_())]
+)
 
 
 def _rebuild_docs(g: pa.Table) -> pa.Table:
@@ -143,29 +140,18 @@ def _rebuild_docs(g: pa.Table) -> pa.Table:
 
 
 def line_dedup(sf_dir: str) -> pd.DataFrame:
-    df = (
-        _docs(sf_dir)
-        .map_batches(_explode_lines, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(_flag_boilerplate, batch_format="pyarrow")
-        .groupby("dpid")
-        .map_groups(_rebuild_docs, batch_format="pyarrow")
-        .to_pandas()
+    flagged = bucket_fold(
+        _docs(sf_dir), "line", _explode_lines, _flag_boilerplate, _FLAGGED, P,
+        pinned=False,
     )
-    df = ensure_columns(
-        df,
-        {
-            "doc_id": "int64",
-            "n_lines": "int64",
-            "n_kept": "int64",
-            "clean_text": "object",
-        },
+    schema = pa.schema(
+        [("doc_id", pa.int64()), ("n_lines", pa.int64()),
+         ("n_kept", pa.int64()), ("clean_text", pa.string())]
     )
-    return (
-        df[["doc_id", "n_lines", "n_kept", "clean_text"]]
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
+    df = bucket_fold(
+        flagged, "doc_id", None, _rebuild_docs, schema, P, pinned=False
+    ).to_pandas()
+    return ensure_columns(df, schema).sort_values("doc_id").reset_index(drop=True)
 
 
 LINE_DEDUP_SQL = f"""

@@ -34,6 +34,7 @@ from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
 from ..io import read_table
+from .joins import bucket_fold
 
 _RID = "__range_id__"
 
@@ -610,8 +611,8 @@ def dedup_gear_chunks(sf_dir: str) -> pd.DataFrame:
     chunks around the edit, so shared passages dedup across documents.
 
     Distributed shape: workers chunk + hash + pre-aggregate
-    (hash, source) partials per batch; partials route ONCE by
-    ``hash % P`` (bucketed keyed exchange, never per-hash groups);
+    (hash, source) partials per batch; partials route ONCE by hash
+    (bucketed keyed exchange, never per-hash groups);
     each bucket resolves global per-hash counts with one segmented
     pass and emits per-source partials; a terminal tiny groupby(source)
     folds ≤#sources×P rows. Rows-only by design (rolling hashes have
@@ -622,22 +623,13 @@ def dedup_gear_chunks(sf_dir: str) -> pd.DataFrame:
 
     ds = read_table(sf_dir, "documents", columns=["text", "source"])
 
-    def pairs(batch: pa.Table) -> pa.Table:
+    def pairs(batch: pa.Table) -> pa.Table | None:
         texts = batch.column("text")
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
         texts = _pc.fill_null(texts, "")
         binv = texts.cast(pa.binary())
         n_rows = len(binv)
-        if n_rows == 0:
-            return pa.table(
-                {
-                    "h": pa.array([], pa.uint64()),
-                    "source": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "bytes": pa.array([], pa.int64()),
-                }
-            )
         bufs = binv.buffers()
         offs = np.frombuffer(bufs[1], dtype=np.int32)[
             binv.offset : binv.offset + n_rows + 1
@@ -649,14 +641,7 @@ def dedup_gear_chunks(sf_dir: str) -> pd.DataFrame:
         cut_lists = gear_cut_points(data, offs)
         n_chunks = np.array([len(c) for c in cut_lists], dtype=np.int64)
         if int(n_chunks.sum()) == 0:
-            return pa.table(
-                {
-                    "h": pa.array([], pa.uint64()),
-                    "source": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "bytes": pa.array([], pa.int64()),
-                }
-            )
+            return None
         ends = np.concatenate([c for c in cut_lists if len(c)])
         doc_of = np.repeat(np.arange(n_rows, dtype=np.int64), n_chunks)
         starts = np.where(
@@ -688,12 +673,6 @@ def dedup_gear_chunks(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def with_pid(batch: pa.Table) -> pa.Table:
-        h = batch.column("h").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pid", pa.array((h % np.uint64(_CDC_P)).astype(np.int32))
-        )
-
     def fold(part: pa.Table) -> pa.Table:
         h = part["h"].to_numpy(zero_copy_only=False)
         n = part["n"].to_numpy(zero_copy_only=False)
@@ -702,7 +681,7 @@ def dedup_gear_chunks(sf_dir: str) -> pd.DataFrame:
         hs = h[order]
         seg = np.r_[True, hs[1:] != hs[:-1]]
         seg_id = np.cumsum(seg) - 1
-        tot = np.zeros(int(seg_id[-1]) + 1 if len(seg_id) else 0, dtype=np.int64)
+        tot = np.zeros(int(seg_id[-1]) + 1, dtype=np.int64)
         np.add.at(tot, seg_id, n[order])
         dup = tot[seg_id] > 1  # occurrence is duplicated corpus-wide
         t = pa.table(
@@ -727,10 +706,15 @@ def dedup_gear_chunks(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .map_batches(with_pid, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_fold(
+            ds, "h", pairs, fold,
+            pa.schema(
+                [("source", pa.string())]
+                + [(c, pa.int64())
+                   for c in ("n_chunks", "dup_chunks", "total_bytes", "dup_bytes")]
+            ),
+            _CDC_P, pinned=False,
+        )
         .groupby("source")
         .aggregate(
             Sum("n_chunks", alias_name="n_chunks"),

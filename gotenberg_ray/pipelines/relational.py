@@ -30,7 +30,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
 from ray.data.aggregate import Count, Sum
 
 from ..functions.frames import ensure_columns
@@ -44,12 +43,8 @@ from ..functions.limbs import (
     split_limbs,
 )
 from ..functions.segments import bincount_i64
-
-
-def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
-    from ..io import read_table
-
-    return read_table(sf_dir, table, columns)
+from ..io import read_table
+from .joins import bucket_fold
 
 
 def _rename(t: pa.Table, mapping: dict[str, str]) -> pa.Table:
@@ -119,7 +114,7 @@ def q1_pricing_summary(sf_dir: str) -> pd.DataFrame:
         )
         return renorm_limbs(g, ["disc_e4", "charge_e6"])
 
-    ds = _read(
+    ds = read_table(
         sf_dir,
         "lineitem",
         [
@@ -217,10 +212,10 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
         batch = batch.filter(pc.less(batch["o_orderdate"], cutoff))
         return batch.select(["o_orderkey", "o_custkey", "o_orderdate"])
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         building_only, batch_format="pyarrow"
     )
-    orders = _read(
+    orders = read_table(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(orders_window, batch_format="pyarrow")
     # semi-join against the BUILDING slice: safe to broadcast (the
@@ -247,7 +242,7 @@ def q3_top_orders(sf_dir: str) -> pd.DataFrame:
             t.group_by("o_orderkey").aggregate([("rev", "sum")]), {"rev_sum": "rev"}
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
     ).map_batches(li_partial, batch_format="pyarrow")
     joined = hash_join(
@@ -314,8 +309,8 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
     nation = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
     nat_name = dict(zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist()))
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     ord_nat = auto_join(
         orders, cust, on="o_custkey", right_on="c_custkey",
         num_partitions=JOIN_PARTITIONS,
@@ -329,7 +324,7 @@ def q5_nation_revenue(sf_dir: str) -> pd.DataFrame:
             t.group_by("o_orderkey").aggregate([("rev", "sum")]), {"rev_sum": "rev"}
         )
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]).map_batches(
         li_partial, batch_format="pyarrow"
     )
     joined = auto_join(
@@ -416,7 +411,7 @@ def q6_revenue_forecast(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    ds = _read(
+    ds = read_table(
         sf_dir, "lineitem", ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"]
     )
     agg = ds.map_batches(fn, batch_format="pyarrow").aggregate(
@@ -454,10 +449,10 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
             t.group_by("o_orderkey").aggregate([("rev", "sum")]), {"rev_sum": "rev"}
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"]
     ).map_batches(li_partial, batch_format="pyarrow")
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     j1 = hash_join(
         li, orders, on="o_orderkey", num_partitions=JOIN_PARTITIONS,
         left_agg=lambda t: _rename(
@@ -473,7 +468,7 @@ def q10_returned_revenue(sf_dir: str) -> pd.DataFrame:
             t.group_by("c_custkey").aggregate([("rev", "sum")]), {"rev_sum": "rev"}
         )
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     j2 = hash_join(
         j1.map_batches(cust_partial, batch_format="pyarrow"),
         cust,
@@ -535,20 +530,17 @@ def top_parts_by_revenue(sf_dir: str) -> pd.DataFrame:
     and ONE P-group shuffle co-locates each key, where a C-kernel
     ``pyarrow.group_by`` folds it and only the per-bucket top-10
     (P × 10 rows) leaves the workers."""
-    from .joins import partition_ids
 
     def per_batch(batch: pa.Table) -> pa.Table:
-        g = (
+        return (
             pa.table({"l_partkey": batch["l_partkey"], "rev": _rev_e4(batch)})
             .group_by(["l_partkey"])
             .aggregate([("rev", "sum")])
         )
-        return g.append_column("pid", partition_ids(g.column("l_partkey"), JOIN_PARTITIONS))
 
     def fold_bucket(part: pa.Table) -> pa.Table:
         g = (
-            part.select(["l_partkey", "rev_sum"])
-            .group_by(["l_partkey"])
+            part.group_by(["l_partkey"])
             .aggregate([("rev_sum", "sum")])
             .rename_columns(["l_partkey", "revenue_e4"])
         )
@@ -557,15 +549,12 @@ def top_parts_by_revenue(sf_dir: str) -> pd.DataFrame:
         )
         return g.take(order[:10])
 
-    ds = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-    df = (
-        ds.map_batches(per_batch, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
-    df = ensure_columns(df, {"l_partkey": "int64", "revenue_e4": "int64"})
-    df["revenue_e4"] = df["revenue_e4"].astype("int64")
+    schema = pa.schema([("l_partkey", pa.int64()), ("revenue_e4", pa.int64())])
+    df = bucket_fold(
+        read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]),
+        "l_partkey", per_batch, fold_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     df = df.sort_values(["revenue_e4", "l_partkey"], ascending=[False, True]).head(10)
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]).to_pandas()
     df = df.merge(part, left_on="l_partkey", right_on="p_partkey")
@@ -584,7 +573,7 @@ LIMIT 10
 
 
 def order_priority_counts(sf_dir: str) -> pd.DataFrame:
-    ds = _read(sf_dir, "orders", ["o_orderpriority"])
+    ds = read_table(sf_dir, "orders", ["o_orderpriority"])
     df = (
         ds.groupby("o_orderpriority")
         .aggregate(Count(alias_name="n_orders"))
@@ -602,7 +591,7 @@ FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority
 
 def supplier_stats_by_nation(sf_dir: str) -> pd.DataFrame:
     nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    ds = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
+    ds = read_table(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
     df = (
         ds.groupby("s_nationkey")
         .aggregate(Count(alias_name="n_suppliers"), Sum("s_acctbal", alias_name="total_acctbal"))
@@ -645,7 +634,7 @@ def part_brand_stats(sf_dir: str) -> pd.DataFrame:
             {"p_brand": batch["p_brand"], "cents": cents, "p_size": batch["p_size"]}
         )
 
-    ds = _read(sf_dir, "part", ["p_brand", "p_retailprice", "p_size"]).map_batches(
+    ds = read_table(sf_dir, "part", ["p_brand", "p_retailprice", "p_size"]).map_batches(
         prep, batch_format="pyarrow"
     )
     df = (
@@ -687,7 +676,7 @@ def events_daily_counts(sf_dir: str) -> pd.DataFrame:
             [("value", "sum"), ([], "count_all")]
         )
 
-    ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
+    ds = read_table(sf_dir, "events", ["ts", "event_type", "value"])
     df = (
         ds.map_batches(prep, batch_format="pyarrow")
         .groupby(["day", "event_type"])
@@ -726,7 +715,7 @@ def events_user_stats(sf_dir: str) -> pd.DataFrame:
             [("value_e2", "sum"), ("is_p", "sum"), ([], "count_all")]
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
+    ds = read_table(sf_dir, "events", ["user_id", "event_type", "value"])
     df = (
         ds.map_batches(prep, batch_format="pyarrow")
         .groupby("user_id")
@@ -769,24 +758,12 @@ def events_sessionize(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
     lesson); the bucket pass costs O(rows log rows) per bucket with C
     kernels only. Gaps compare in integer microseconds so a gap of
     exactly ``gap_s`` judges identically on both engines."""
-    from .joins import partition_ids
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "pid", partition_ids(batch["user_id"], JOIN_PARTITIONS)
-        )
 
     def sessionize_bucket(part: pa.Table) -> pa.Table:
-        t = part.select(["user_id", "ts", "event_id"]).sort_by(
+        t = part.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         users = t["user_id"].to_numpy(zero_copy_only=False)
-        n = len(users)
-        if n == 0:
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "n_sessions": pa.array([], pa.int64())}
-            )
         ts_us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         new_user = np.r_[True, users[1:] != users[:-1]]
         gap = np.r_[True, (ts_us[1:] - ts_us[:-1]) > gap_s * 1_000_000]
@@ -798,16 +775,12 @@ def events_sessionize(sf_dir: str, gap_s: int = 1800) -> pd.DataFrame:
              "n_sessions": pa.array(counts)}
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(sessionize_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
-    df = ensure_columns(df, {"user_id": "int64", "n_sessions": "int64"})
-    df["user_id"] = df["user_id"].astype("int64")
-    df["n_sessions"] = df["n_sessions"].astype("int64")
+    schema = pa.schema([("user_id", pa.int64()), ("n_sessions", pa.int64())])
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts", "event_id"]),
+        "user_id", None, sessionize_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -832,7 +805,7 @@ def events_top_purchasers(sf_dir: str) -> pd.DataFrame:
             .aggregate([("value", "sum")])
         )
 
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "value"])
+    ds = read_table(sf_dir, "events", ["user_id", "event_type", "value"])
     df = (
         ds.map_batches(prep, batch_format="pyarrow")
         .groupby("user_id")

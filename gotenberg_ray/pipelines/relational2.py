@@ -25,7 +25,8 @@ from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
 from ..functions.limbs import limb_ray_aggs, limb_sums, limbify, recombine_limbs, renorm_limbs
-from .relational import JOIN_PARTITIONS, _read, _rename, _rev_e4
+from ..io import read_table
+from .relational import JOIN_PARTITIONS, _rename, _rev_e4
 
 
 def _ts(s: str) -> pa.Scalar:
@@ -55,10 +56,10 @@ def q4_late_ship_orders(sf_dir: str, lag_days: int = 60) -> pd.DataFrame:
             {"max_ship_max": "max_ship"},
         )
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
         li_partial, batch_format="pyarrow"
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = hash_join(
         li,
         orders,
@@ -160,10 +161,10 @@ def q7_nation_trade(
             }
         )
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
         supp_filter, batch_format="pyarrow"
     )
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         cust_filter, batch_format="pyarrow"
     )
 
@@ -180,7 +181,7 @@ def q7_nation_trade(
             {"rev_sum": "rev"},
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount"]
     ).map_batches(li_prep, batch_format="pyarrow")
 
@@ -204,7 +205,7 @@ def q7_nation_trade(
             {"rev_sum": "rev"},
         )
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def orders_prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -329,10 +330,10 @@ def q14_promo_revenue(sf_dir: str) -> pd.DataFrame:
             t.group_by("l_partkey").aggregate([("rev", "sum")]), {"rev_sum": "rev"}
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]
     ).map_batches(li_prep, batch_format="pyarrow")
-    part = _read(sf_dir, "part", ["p_partkey", "p_type"])
+    part = read_table(sf_dir, "part", ["p_partkey", "p_type"])
     joined = hash_join(
         li,
         part,
@@ -403,10 +404,10 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
             t.group_by("s_suppkey").aggregate([("rev", "sum")]), {"rev_sum": "rev"}
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"]
     ).map_batches(li_prep, batch_format="pyarrow")
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     joined = hash_join(
         li,
         supp,
@@ -472,7 +473,7 @@ def q17_small_quantity(sf_dir: str, brand: str = "Brand#1") -> pd.DataFrame:
         batch = batch.filter(pc.equal(batch["p_brand"], brand))
         return batch.select(["p_partkey"])
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
+    part = read_table(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
         part_prep, batch_format="pyarrow"
     )
 
@@ -489,7 +490,7 @@ def q17_small_quantity(sf_dir: str, brand: str = "Brand#1") -> pd.DataFrame:
             }
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
     ).map_batches(li_prep, batch_format="pyarrow")
 
@@ -611,10 +612,10 @@ def q18_large_orders(sf_dir: str, min_qty: int = 150) -> pd.DataFrame:
         )
         return g.filter(pc.greater(g["qty_e2"], thresh))
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
         li_partial, batch_format="pyarrow"
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
     j1 = hash_join(
         li,
         orders,
@@ -628,7 +629,7 @@ def q18_large_orders(sf_dir: str, min_qty: int = 150) -> pd.DataFrame:
             ("o_orderdate", pa.timestamp("us")),
         ],
     )
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
     j2 = hash_join(
         j1,
         cust,
@@ -694,7 +695,7 @@ def q19_branded_revenue(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
@@ -709,7 +710,7 @@ def q19_branded_revenue(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
+    part = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
         part_prep, batch_format="pyarrow"
     )
     joined = hash_join(
@@ -852,10 +853,10 @@ def q8_market_share(
         batch = batch.filter(pc.is_in(batch["c_nationkey"], value_set=cust_keys))
         return batch.select(["c_custkey"])
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
         supp_prep, batch_format="pyarrow"
     )
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         cust_prep, batch_format="pyarrow"
     )
 
@@ -872,7 +873,7 @@ def q8_market_share(
             {"rev_sum": "rev"},
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_suppkey", "l_orderkey", "l_extendedprice", "l_discount"]
     ).map_batches(li_prep, batch_format="pyarrow")
 
@@ -896,7 +897,7 @@ def q8_market_share(
             {"rev_sum": "rev", "nat_rev_sum": "nat_rev"},
         )
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def orders_prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1008,10 +1009,10 @@ def supplier_window_revenue(sf_dir: str) -> pd.DataFrame:
             {"rev_sum": "rev", "n_sum": "n"},
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"]
     ).map_batches(li_prep, batch_format="pyarrow")
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     joined = hash_join(
         supp,
         li,

@@ -37,7 +37,7 @@ import pyarrow.parquet as pq
 
 from ray.data.aggregate import Sum
 
-from .joins import auto_join, hash_join, partition_ids
+from .joins import auto_join, bucket_fold, hash_join
 from ..functions.frames import ensure_columns
 from ..functions.limbs import (
     limb_ray_aggs,
@@ -45,14 +45,11 @@ from ..functions.limbs import (
     limbify,
     recombine_limbs,
     renorm_limbs,
+    to_cents,
 )
-from .relational import JOIN_PARTITIONS, _read, _rename, _rev_e4
+from ..io import read_table
+from .relational import JOIN_PARTITIONS, _rename, _rev_e4
 from .relational2 import _ts
-
-
-def _cents(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
-    """2-decimal money column → exact int64 cents."""
-    return pc.cast(pc.round(pc.multiply(col, 100.0)), pa.int64())
 
 
 def _qty_int(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
@@ -108,7 +105,7 @@ def q2_min_price_supplier(sf_dir: str, max_size: int = 10, ptype: str = "STANDAR
         )
         return pa.table({"p_partkey": b.filter(m)["p_partkey"]})
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_size", "p_type"]).map_batches(
+    part = read_table(sf_dir, "part", ["p_partkey", "p_size", "p_type"]).map_batches(
         part_filter, batch_format="pyarrow"
     )
 
@@ -117,13 +114,13 @@ def q2_min_price_supplier(sf_dir: str, max_size: int = 10, ptype: str = "STANDAR
             pa.table(
                 {
                     "p_partkey": b["l_partkey"],
-                    "best_price_cents": _cents(b["l_extendedprice"]),
+                    "best_price_cents": to_cents(b["l_extendedprice"]),
                     "s_suppkey": b["l_suppkey"],
                 }
             )
         )
 
-    li = _read(
+    li = read_table(
         sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"]
     ).map_batches(li_prep, batch_format="pyarrow")
 
@@ -142,14 +139,14 @@ def q2_min_price_supplier(sf_dir: str, max_size: int = 10, ptype: str = "STANDAR
         bloom_prune_left=True,
     )
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_acctbal", "s_nationkey"])
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_name", "s_acctbal", "s_nationkey"])
 
     def supp_prep(b: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "s_suppkey": b["s_suppkey"],
                 "s_name": b["s_name"],
-                "bal_cents": _cents(b["s_acctbal"]),
+                "bal_cents": to_cents(b["s_acctbal"]),
                 "s_nationkey": pc.cast(b["s_nationkey"], pa.int64()),
             }
         )
@@ -248,10 +245,10 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pd.DataFrame:
         m = pc.match_substring(b["p_name"], name_like)
         b = b.filter(m)
         return pa.table(
-            {"p_partkey": b["p_partkey"], "retail_cents": _cents(b["p_retailprice"])}
+            {"p_partkey": b["p_partkey"], "retail_cents": to_cents(b["p_retailprice"])}
         )
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"]).map_batches(
+    part = read_table(sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"]).map_batches(
         part_prep, batch_format="pyarrow"
     )
 
@@ -272,7 +269,7 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pd.DataFrame:
             {"rev_e4_sum": "rev_e4", "qty_sum": "qty"},
         )
 
-    li = _read(
+    li = read_table(
         sf_dir,
         "lineitem",
         ["l_partkey", "l_suppkey", "l_orderkey", "l_quantity", "l_extendedprice", "l_discount"],
@@ -326,7 +323,7 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pd.DataFrame:
             {"amount_e4_hi_sum": "amount_e4_hi", "amount_e4_lo_sum": "amount_e4_lo"},
         )
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
         lambda b: pa.table(
             {
                 "s_suppkey": b["s_suppkey"],
@@ -359,7 +356,7 @@ def q9_product_profit(sf_dir: str, name_like: str = "red") -> pd.DataFrame:
             {"amount_e4_hi_sum": "amount_e4_hi", "amount_e4_lo_sum": "amount_e4_lo"},
         )
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
         lambda b: pa.table(
             {
                 "l_orderkey": b["o_orderkey"],
@@ -449,12 +446,10 @@ def q11_important_parts(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"p_partkey": b["l_partkey"], "value_e4": _rev_e4(b)})
-        g = _rename(
+        return _rename(
             t.group_by("p_partkey").aggregate([("value_e4", "sum")]),
             {"value_e4_sum": "value_e4"},
         )
-        pk = g["p_partkey"].to_numpy(zero_copy_only=False)
-        return g.append_column("_pid", pa.array((pk % P).astype(np.int32)))
 
     def fold_parts(g: pa.Table) -> pa.Table:
         # key-pid bucket fold in numpy (a part's partials all land
@@ -462,11 +457,6 @@ def q11_important_parts(sf_dir: str) -> pd.DataFrame:
         # #parts-per-block partial stream
         pk = g["p_partkey"].to_numpy(zero_copy_only=False)
         v = g["value_e4"].to_numpy(zero_copy_only=False)
-        if len(pk) == 0:  # empty pinned-partition group
-            return pa.table(
-                {"p_partkey": pa.array([], pa.int64()),
-                 "value_e4": pa.array([], pa.int64())}
-            )
         order = np.argsort(pk, kind="stable")
         pk, v = pk[order], v[order]
         starts = np.flatnonzero(np.r_[True, pk[1:] != pk[:-1]])
@@ -477,13 +467,11 @@ def q11_important_parts(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    per_part = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=P)
-        .map_groups(fold_parts, batch_format="pyarrow")
-        .materialize()
-    )
+    per_part = bucket_fold(
+        read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]),
+        "p_partkey", partial, fold_parts,
+        pa.schema([("p_partkey", pa.int64()), ("value_e4", pa.int64())]), P,
+    ).materialize()
     total = per_part.sum("value_e4") or 0
     n_parts = per_part.count()
     if n_parts == 0:
@@ -557,10 +545,10 @@ def q12_priority_lines(sf_dir: str, year: str = "1997") -> pd.DataFrame:
             {"n_sum": "n"},
         )
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_shipdate"]).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_shipdate"]).map_batches(
         li_prep, batch_format="pyarrow"
     )
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     joined = hash_join(
         li,
         orders,
@@ -644,7 +632,7 @@ def q13_order_distribution(sf_dir: str, excl_priority: str = "5-LOW") -> pd.Data
     partition (``right_agg``), so the outer exchange moves one row per
     (partition, customer); the second aggregation is over ≤ a few dozen
     distinct counts — a tiny combine."""
-    cust = _read(sf_dir, "customer", ["c_custkey"])
+    cust = read_table(sf_dir, "customer", ["c_custkey"])
 
     def o_prep(b: pa.Table) -> pa.Table:
         b = b.filter(pc.not_equal(b["o_orderpriority"], excl_priority))
@@ -658,7 +646,7 @@ def q13_order_distribution(sf_dir: str, excl_priority: str = "5-LOW") -> pd.Data
             {"n_orders_sum": "n_orders"},
         )
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
         o_prep, batch_format="pyarrow"
     )
     joined = hash_join(
@@ -724,7 +712,7 @@ def q16_part_supplier_counts(sf_dir: str) -> pd.DataFrame:
     exact distinct is the grouped-by-(profile, suppkey) shuffle — one
     row per distinct pair reaches the final tiny count."""
     bad_df = (
-        _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
+        read_table(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
         .map_batches(
             lambda b: b.filter(pc.less(b["s_acctbal"], 0.0)).select(
                 ["s_suppkey"]
@@ -756,7 +744,7 @@ def q16_part_supplier_counts(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]).map_batches(
+    part = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]).map_batches(
         part_prep, batch_format="pyarrow"
     )
 
@@ -769,7 +757,7 @@ def q16_part_supplier_counts(sf_dir: str) -> pd.DataFrame:
     def li_fold(t: pa.Table) -> pa.Table:
         return t.group_by(["p_partkey", "s_suppkey"]).aggregate([])
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
         li_prep, batch_format="pyarrow"
     )
     joined = hash_join(
@@ -789,13 +777,12 @@ def q16_part_supplier_counts(sf_dir: str) -> pd.DataFrame:
     )
 
     def quad_partial(b: pa.Table) -> pa.Table:
-        # per-batch quad dedupe + suppkey-hash pid: one int-keyed
-        # exchange replaces two global 4-string-key aggregates — every
-        # (profile, suppkey) quad lands in the partition owning its
-        # suppkey, so a per-partition dedupe is globally exact
+        # per-batch quad dedupe before a suppkey-keyed exchange: one
+        # int-keyed exchange replaces two global 4-string-key aggregates
+        # — every (profile, suppkey) quad lands in the partition owning
+        # its suppkey, so a per-partition dedupe is globally exact
         t = b.select(["p_brand", "p_type", "p_size", "s_suppkey"])
-        t = t.group_by(["p_brand", "p_type", "p_size", "s_suppkey"]).aggregate([])
-        return t.append_column("pid", partition_ids(t["s_suppkey"], JOIN_PARTITIONS))
+        return t.group_by(["p_brand", "p_type", "p_size", "s_suppkey"]).aggregate([])
 
     def bucket_count(g: pa.Table) -> pa.Table:
         d = g.group_by(["p_brand", "p_type", "p_size", "s_suppkey"]).aggregate([])
@@ -804,23 +791,20 @@ def q16_part_supplier_counts(sf_dir: str) -> pd.DataFrame:
         ).aggregate([([], "count_all")])
         return c.rename_columns(["p_brand", "p_type", "p_size", "supplier_cnt"])
 
+    schema = pa.schema(
+        [("p_brand", pa.string()), ("p_type", pa.string()),
+         ("p_size", pa.int64()), ("supplier_cnt", pa.int64())]
+    )
     df = (
-        joined.map_batches(quad_partial, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(bucket_count, batch_format="pyarrow")
+        bucket_fold(
+            joined, "s_suppkey", quad_partial, bucket_count, schema,
+            JOIN_PARTITIONS, pinned=False,
+        )
         .groupby(["p_brand", "p_type", "p_size"])
         .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt"))
         .to_pandas()
     )
-    if df.empty:
-        return pd.DataFrame(
-            {
-                "p_brand": pd.Series([], dtype="object"),
-                "p_type": pd.Series([], dtype="object"),
-                "p_size": pd.Series([], dtype="int64"),
-                "supplier_cnt": pd.Series([], dtype="int64"),
-            }
-        )
+    df = ensure_columns(df, schema)
     df["p_size"] = df["p_size"].astype("int64")
     df["supplier_cnt"] = df["supplier_cnt"].astype("int64")
     return (
@@ -868,7 +852,7 @@ def q20_excess_suppliers(sf_dir: str, prefix: str = "blue", year: str = "1997") 
     folds that do grow with scale (q9 profit, q22 balance totals)
     carry Sum128 limbs instead."""
     keys_df = (
-        _read(sf_dir, "part", ["p_partkey", "p_name"])
+        read_table(sf_dir, "part", ["p_partkey", "p_name"])
         .map_batches(
             lambda b: b.filter(pc.starts_with(b["p_name"], prefix)).select(
                 ["p_partkey"]
@@ -897,7 +881,7 @@ def q20_excess_suppliers(sf_dir: str, prefix: str = "blue", year: str = "1997") 
         )
 
     per_supp = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_shipdate", "l_quantity"])
+        read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_shipdate", "l_quantity"])
         .map_batches(li_prep, batch_format="pyarrow")
         .groupby("s_suppkey")
         .aggregate(Sum("qty", alias_name="qty"))
@@ -922,7 +906,7 @@ def q20_excess_suppliers(sf_dir: str, prefix: str = "blue", year: str = "1997") 
         )
 
     qualifying = per_supp.map_batches(over_half, batch_format="pyarrow")
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     joined = hash_join(
         qualifying,
         supp,
@@ -998,11 +982,11 @@ def q21_waiting_suppliers(sf_dir: str, lag_days: int = 30, topk: int = 20) -> pd
             {"max_ship_max": "max_ship"},
         )
 
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"]).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"]).map_batches(
         li_prep, batch_format="pyarrow"
     )
     orders = (
-        _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderstatus"])
+        read_table(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderstatus"])
         .filter(expr="o_orderstatus == 'F'")
         .map_batches(
             lambda b: b.select(["o_orderkey", "o_orderdate"]), batch_format="pyarrow"
@@ -1064,7 +1048,7 @@ def q21_waiting_suppliers(sf_dir: str, lag_days: int = 30, topk: int = 20) -> pd
         ],
         right_schema=[("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us"))],
     )
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_name"])
     # the per-supplier numwait completion folds INSIDE the naming
     # join's suppkey-hash partitions (left_agg) — a stand-alone
     # groupby here would pay a whole extra all-to-all for rows the
@@ -1160,12 +1144,12 @@ def q22_idle_customers(
             {
                 "c_custkey": b["c_custkey"],
                 "cntry": cntry,
-                "bal_cents": _cents(b["c_acctbal"]),
+                "bal_cents": to_cents(b["c_acctbal"]),
             }
         )
         return t.filter(pc.is_in(t["cntry"], value_set=bucket_set))
 
-    sel = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"]).map_batches(
+    sel = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"]).map_batches(
         c_prep, batch_format="pyarrow"
     ).materialize()  # consumed twice: scalar pass + filtered anti-join
 
@@ -1212,7 +1196,7 @@ def q22_idle_customers(
         b = b.filter(pc.greater_equal(b["o_orderdate"], cutoff))
         return pa.table({"c_custkey": b["o_custkey"]}).group_by("c_custkey").aggregate([])
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate"]).map_batches(
         o_prep, batch_format="pyarrow"
     )
     idle = hash_join(

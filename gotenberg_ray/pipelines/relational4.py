@@ -38,7 +38,9 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Max, Min, Sum
 
 from ..functions.frames import ensure_columns
+from ..functions.limbs import to_cents
 from ..functions.segments import segment_ranks
+from ..io import read_table
 
 CUST_BAL_MAX = 0.0  # deficit customers: c_acctbal < 0 (~9% of rows)
 SUPP_BAL_MIN = 5000.0  # high-balance suppliers: s_acctbal > 5000
@@ -46,19 +48,6 @@ TOP_K = 3  # per-nation top customers
 NTILE_K = 4  # quartiles
 _PRICE_SHIFT = np.int64(1) << np.int64(33)  # orderkey < 2^33 (doc'd)
 _PRICE_CAP = np.int64(10**8)  # cents < 10^8
-
-
-def _read(sf_dir: str, table: str, columns=None):
-    from ..io import read_table
-
-    return read_table(sf_dir, table, columns)
-
-
-def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
-    return pc.cast(
-        pc.round(pc.multiply(col, 100.0), round_mode="half_towards_infinity"),
-        pa.int64(),
-    )
 
 
 # --------------------------------------------------- full outer join
@@ -83,7 +72,7 @@ def nation_balance_full_outer(sf_dir: str) -> pd.DataFrame:
             {
                 "nationkey": b["c_nationkey"],
                 "n_cust": pa.array(np.ones(b.num_rows, np.int64)),
-                "cust_cents": _cents(b["c_acctbal"]),
+                "cust_cents": to_cents(b["c_acctbal"]),
             }
         )
         t = limbify(t, ["cust_cents"])
@@ -100,7 +89,7 @@ def nation_balance_full_outer(sf_dir: str) -> pd.DataFrame:
             {
                 "nationkey": b["s_nationkey"],
                 "n_supp": pa.array(np.ones(b.num_rows, np.int64)),
-                "supp_cents": _cents(b["s_acctbal"]),
+                "supp_cents": to_cents(b["s_acctbal"]),
             }
         )
         t = limbify(t, ["supp_cents"])
@@ -134,10 +123,10 @@ def nation_balance_full_outer(sf_dir: str) -> pd.DataFrame:
         ("supp_cents_lo", pa.int64()),
     ]
     joined = hash_join(
-        _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"]).map_batches(
+        read_table(sf_dir, "customer", ["c_nationkey", "c_acctbal"]).map_batches(
             cust_partial, batch_format="pyarrow"
         ),
-        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]).map_batches(
+        read_table(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]).map_batches(
             supp_partial, batch_format="pyarrow"
         ),
         on="nationkey",
@@ -207,7 +196,7 @@ def nation_top_customers_agg(sf_dir: str, k: int = TOP_K) -> pd.DataFrame:
     def local_topk(batch: pa.Table) -> pa.Table:
         nk = batch["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         ck = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = _cents(batch["c_acctbal"]).to_numpy(zero_copy_only=False)
+        cents = to_cents(batch["c_acctbal"]).to_numpy(zero_copy_only=False)
         order = np.lexsort((ck, -cents, nk))  # nation asc, cents desc, key asc
         ranks = segment_ranks(nk[order])  # 1-based within each nation run
         keep = order[ranks <= k]
@@ -237,7 +226,7 @@ def nation_top_customers_agg(sf_dir: str, k: int = TOP_K) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey", "c_acctbal"])
+        read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey", "c_acctbal"])
         .map_batches(local_topk, batch_format="pyarrow")
         .groupby("c_nationkey")
         .map_groups(finalize, batch_format="pyarrow")
@@ -291,7 +280,7 @@ def orders_price_ntile(sf_dir: str, k: int = NTILE_K) -> pd.DataFrame:
     data at any sf this engine targets."""
     from .packing import ordered_prefix_sum
 
-    ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     n_total = ds.count()
     if not n_total:
         return pd.DataFrame(
@@ -305,7 +294,7 @@ def orders_price_ntile(sf_dir: str, k: int = NTILE_K) -> pd.DataFrame:
         )
 
     def prep(batch: pa.Table) -> pa.Table:
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
+        cents = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         key = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         ckey = (_PRICE_CAP - cents) * _PRICE_SHIFT + key
         return pa.table(

@@ -36,7 +36,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.frames import ensure_columns
-from .relational import JOIN_PARTITIONS, _read
+from ..io import read_table
+from .joins import bucket_fold
+from .relational import JOIN_PARTITIONS
 
 US = 1_000_000
 DAY_US = 86_400 * US
@@ -64,7 +66,7 @@ def customers_all_priorities(sf_dir: str) -> pd.DataFrame:
         ).aggregate([])
 
     uniq = (
-        _read(sf_dir, "orders", ["o_orderpriority"])
+        read_table(sf_dir, "orders", ["o_orderpriority"])
         .map_batches(prio_partial, batch_format="pyarrow")
         .unique("prio")
     )
@@ -79,8 +81,6 @@ def customers_all_priorities(sf_dir: str) -> pd.DataFrame:
         raise NotImplementedError("divisor universe exceeds the 63-bit mask")
     univ = pa.array(prios, pa.string())
 
-    from .joins import partition_ids
-
     def local(batch: pa.Table) -> pa.Table:
         cust = batch["o_custkey"].to_numpy(zero_copy_only=False)
         idx = pc.index_in(
@@ -92,15 +92,12 @@ def customers_all_priorities(sf_dir: str) -> pd.DataFrame:
         starts = np.flatnonzero(np.r_[True, cs[1:] != cs[:-1]])
         mask = np.bitwise_or.reduceat(bs, starts)
         n = np.diff(np.r_[starts, len(cs)])
-        t = pa.table(
+        return pa.table(
             {
                 "c_custkey": pa.array(cs[starts]),
                 "mask": pa.array(mask),
                 "n_orders": pa.array(n.astype(np.int64)),
             }
-        )
-        return t.append_column(
-            "pid", partition_ids(t.column("c_custkey"), JOIN_PARTITIONS)
         )
 
     def finish(part: pa.Table) -> pa.Table:
@@ -124,18 +121,14 @@ def customers_all_priorities(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(finish, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("c_custkey", "n_prios", "n_orders")]
     )
-    df = ensure_columns(
-        df, {"c_custkey": "int64", "n_prios": "int64", "n_orders": "int64"}
-    )
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"]),
+        "c_custkey", local, finish, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -161,8 +154,6 @@ def customer_order_span(sf_dir: str) -> pd.DataFrame:
     packed (days·2³³ + key) int64, so native Min/Max ARE arg_min/
     arg_max and the driver just decodes."""
 
-    from .joins import partition_ids
-
     def prep(batch: pa.Table) -> pa.Table:
         days = pc.cast(
             pc.divide(pc.cast(batch["o_orderdate"], pa.int64()),
@@ -186,10 +177,7 @@ def customer_order_span(sf_dir: str) -> pd.DataFrame:
         g = t.group_by("c_custkey").aggregate(
             [("first_pk", "min"), ("last_pk", "max"), ("n_orders", "sum")]
         )
-        g = g.rename_columns(["c_custkey", "first_pk", "last_pk", "n_orders"])
-        return g.append_column(
-            "pid", partition_ids(g.column("c_custkey"), JOIN_PARTITIONS)
-        )
+        return g.rename_columns(["c_custkey", "first_pk", "last_pk", "n_orders"])
 
     def finish(part: pa.Table) -> pa.Table:
         cust = part["c_custkey"].to_numpy(zero_copy_only=False)
@@ -220,18 +208,14 @@ def customer_order_span(sf_dir: str) -> pd.DataFrame:
     # bucketed keyed exchange (16 group tasks + segment reduceat) — the
     # native per-key groupby sorted every partial row globally and
     # measured 5× slower at sf0.1
-    df = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"])
-        .map_batches(prep, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(finish, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("c_custkey", "first_pk", "last_pk", "n_orders")]
     )
-    df = ensure_columns(
-        df,
-        {"c_custkey": "int64", "first_pk": "int64",
-         "last_pk": "int64", "n_orders": "int64"},
-    )
+    df = bucket_fold(
+        read_table(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_orderdate"]),
+        "c_custkey", prep, finish, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     mask = np.int64(int(_PK_SHIFT) - 1)
     first_pk = df["first_pk"].to_numpy(dtype=np.int64, na_value=0)
     last_pk = df["last_pk"].to_numpy(dtype=np.int64, na_value=0)
@@ -272,7 +256,6 @@ def latest_event_per_user(sf_dir: str) -> pd.DataFrame:
     row_number()=1): local argmax per batch prunes to ≤1 row per user
     per batch, one ``user_id % P`` keyed exchange, vectorized
     segment-head finish. Ties: ts DESC, then event_id DESC."""
-    from .joins import partition_ids
 
     def heads(t: pa.Table) -> pa.Table:
         """Keep each user's (ts desc, event_id desc) head row."""
@@ -300,17 +283,7 @@ def latest_event_per_user(sf_dir: str) -> pd.DataFrame:
                 "ts": batch["ts"],  # heads() keys on the raw column
             }
         )
-        h = heads(t)
-        return pa.table(
-            {
-                "pid": partition_ids(h.column("user_id"), JOIN_PARTITIONS),
-                "user_id": h["user_id"],
-                "ts_us": h["ts_us"],
-                "event_id": h["event_id"],
-                "event_type": h["event_type"],
-                "value_e2": h["value_e2"],
-            }
-        )
+        return heads(t).drop_columns(["ts"])
 
     def finish(part: pa.Table) -> pa.Table:
         uid = part["user_id"].to_numpy(zero_copy_only=False)
@@ -319,24 +292,17 @@ def latest_event_per_user(sf_dir: str) -> pd.DataFrame:
         order = np.lexsort((-eid, -ts, uid))
         u_sorted = uid[order]
         starts = np.flatnonzero(np.r_[True, u_sorted[1:] != u_sorted[:-1]])
-        return part.select(
-            ["user_id", "ts_us", "event_id", "event_type", "value_e2"]
-        ).take(pa.array(order[starts]))
+        return part.take(pa.array(order[starts]))
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type", "value"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(finish, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [("user_id", pa.int64()), ("ts_us", pa.int64()), ("event_id", pa.int64()),
+         ("event_type", pa.string()), ("value_e2", pa.int64())]
     )
-    df = ensure_columns(
-        df,
-        {"user_id": "int64", "ts_us": "int64", "event_id": "int64",
-         "event_type": "object", "value_e2": "int64"},
-    )
-    for c in ("user_id", "ts_us", "event_id", "value_e2"):
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type", "value"]),
+        "user_id", local, finish, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 

@@ -43,8 +43,9 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
+from ..functions.limbs import to_cents
 from ..functions.segments import bincount_i64
-from .relational import _read
+from ..io import read_table
 from .windows import _fmt_days
 
 US = 1_000_000
@@ -55,13 +56,6 @@ ALL_YEAR = -1
 ALL_FLAG = "*ALL*"
 
 EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-def _cents(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
-    return pc.cast(
-        pc.round(pc.multiply(col, 100.0), round_mode="half_towards_infinity"),
-        pa.int64(),
-    )
 
 
 # ------------------------------------------------------------- ROLLUP
@@ -78,7 +72,7 @@ def priority_year_rollup(sf_dir: str) -> pd.DataFrame:
             {
                 "o_orderpriority": batch["o_orderpriority"],
                 "order_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
-                "cents": _cents(batch["o_totalprice"]),
+                "cents": to_cents(batch["o_totalprice"]),
                 "n": pa.array(np.ones(len(batch), dtype=np.int64)),
             }
         )
@@ -87,7 +81,7 @@ def priority_year_rollup(sf_dir: str) -> pd.DataFrame:
         )
 
     grid = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["o_orderpriority", "order_year"])
         .aggregate(
@@ -149,8 +143,8 @@ def returnflag_cube(sf_dir: str) -> pd.DataFrame:
             {
                 "l_returnflag": batch["l_returnflag"],
                 "l_linestatus": batch["l_linestatus"],
-                "qty_e2": _cents(batch["l_quantity"]),
-                "price_e2": _cents(batch["l_extendedprice"]),
+                "qty_e2": to_cents(batch["l_quantity"]),
+                "price_e2": to_cents(batch["l_extendedprice"]),
                 "n": pa.array(np.ones(len(batch), dtype=np.int64)),
             }
         )
@@ -159,7 +153,7 @@ def returnflag_cube(sf_dir: str) -> pd.DataFrame:
         )
 
     grid = (
-        _read(
+        read_table(
             sf_dir,
             "lineitem",
             ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
@@ -256,7 +250,7 @@ def events_type_pivot(sf_dir: str) -> pd.DataFrame:
 
     agg = [Sum(c, alias_name=c + "_s") for c in (*type_cols, "n_total")]
     df = (
-        _read(sf_dir, "events", ["ts", "event_type"])
+        read_table(sf_dir, "events", ["ts", "event_type"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .aggregate(*agg)
@@ -300,7 +294,7 @@ def orders_ewma(sf_dir: str) -> pd.DataFrame:
             pc.cast(batch["o_orderdate"], pa.int64()).to_numpy(zero_copy_only=False)
             // DAY_US
         )
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
+        cents = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         uniq, inv = np.unique(days, return_inverse=True)
         return pa.table(
             {
@@ -310,7 +304,7 @@ def orders_ewma(sf_dir: str) -> pd.DataFrame:
         )
 
     daily = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .aggregate(Sum("cents", alias_name="revenue_e2"))

@@ -24,14 +24,8 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
-from .relational import _read
-
-def _cents(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
-    return pc.cast(
-        pc.round(pc.multiply(col, 100.0), round_mode="half_towards_infinity"),
-        pa.int64(),
-    )
-
+from ..functions.limbs import to_cents
+from ..io import read_table
 
 # ------------------------------------------------ ratio-to-report window
 
@@ -46,7 +40,7 @@ def priority_revenue_share(sf_dir: str) -> pd.DataFrame:
             {
                 "o_orderpriority": batch["o_orderpriority"],
                 "order_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
-                "cents": _cents(batch["o_totalprice"]),
+                "cents": to_cents(batch["o_totalprice"]),
             }
         )
         return t.group_by(["o_orderpriority", "order_year"]).aggregate(
@@ -54,7 +48,7 @@ def priority_revenue_share(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["o_orderpriority", "order_year"])
         .aggregate(Sum("cents_sum", alias_name="revenue_e2"))

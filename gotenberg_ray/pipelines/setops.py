@@ -24,16 +24,12 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
+from ..io import read_table
+from .joins import bucket_fold
 
 SIDE_A_PRIORITY = "1-URGENT"
 SIDE_B_PRIORITY = "2-HIGH"
 MODE_P = 16  # user-hash buckets for the mode fold
-
-
-def _read(sf_dir: str, table: str, columns=None):
-    from ..io import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 def customer_set_ops(sf_dir: str) -> pd.DataFrame:
@@ -42,8 +38,8 @@ def customer_set_ops(sf_dir: str) -> pd.DataFrame:
 
     P = 16
 
-    def tag(batch: pa.Table) -> pa.Table:
-        """Batch-local (key, bit) dedup in numpy + key-pid routing —
+    def tag(batch: pa.Table) -> pa.Table | None:
+        """Batch-local (key, bit) dedup in numpy before key routing —
         one row per batch-distinct (customer, side) pair enters the
         single exchange (round-5 rewrite: the former plan paid two
         multi-key sort exchanges over the pair stream)."""
@@ -61,24 +57,12 @@ def customer_set_ops(sf_dir: str) -> pd.DataFrame:
         )
         keys = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(keys) == 0:  # batch filtered to nothing (no A/B rows)
-            return pa.table(
-                {
-                    "o_custkey": pa.array([], pa.int64()),
-                    "bits": pa.array([], pa.int64()),
-                    "_pid": pa.array([], pa.int32()),
-                }
-            )
+            return None
         order = np.lexsort((bits, keys))
         k, b = keys[order], bits[order]
         first = np.r_[True, (k[1:] != k[:-1]) | (b[1:] != b[:-1])]
         k, b = k[first], b[first]
-        return pa.table(
-            {
-                "o_custkey": pa.array(k),
-                "bits": pa.array(b),
-                "_pid": pa.array((k % P).astype(np.int32)),
-            }
-        )
+        return pa.table({"o_custkey": pa.array(k), "bits": pa.array(b)})
 
     def bucket_classify(g: pa.Table) -> pa.Table:
         """A key's rows all land in its bucket, so the OR-fold and the
@@ -86,9 +70,6 @@ def customer_set_ops(sf_dir: str) -> pd.DataFrame:
         sum distinct bits per key (≡ OR for bits ∈ {1,2}), count."""
         keys = g["o_custkey"].to_numpy(zero_copy_only=False)
         bits = g["bits"].to_numpy(zero_copy_only=False)
-        if len(keys) == 0:  # empty pinned-partition group
-            empty = pa.array([], pa.int64())
-            return pa.table({"only_a": empty, "only_b": empty, "both": empty})
         order = np.lexsort((bits, keys))
         k, b = keys[order], bits[order]
         first = np.r_[True, (k[1:] != k[:-1]) | (b[1:] != b[:-1])]
@@ -104,10 +85,12 @@ def customer_set_ops(sf_dir: str) -> pd.DataFrame:
         )
 
     row = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=P)
-        .map_groups(bucket_classify, batch_format="pyarrow")
+        bucket_fold(
+            read_table(sf_dir, "orders", ["o_custkey", "o_orderpriority"]),
+            "o_custkey", tag, bucket_classify,
+            pa.schema([(c, pa.int64()) for c in ("only_a", "only_b", "both")]),
+            P,
+        )
         .aggregate(Sum("only_a"), Sum("only_b"), Sum("both"))
     )
     only_a = int(row["sum(only_a)"] or 0) if row else 0
@@ -155,20 +138,10 @@ def user_mode_event(sf_dir: str) -> pd.DataFrame:
             {"user_id": batch["user_id"], "event_type": batch["event_type"]}
         )
         g = t.group_by(["user_id", "event_type"]).aggregate([([], "count_all")])
-        g = g.rename_columns(["user_id", "event_type", "c"])
-        uid = g["user_id"].to_numpy(zero_copy_only=False)
-        return g.append_column(
-            "pid", pa.array((uid % MODE_P).astype(np.int32))
-        )
+        return g.rename_columns(["user_id", "event_type", "c"])
 
     def bucket_mode(g: pa.Table) -> pa.Table:
-        df = pa.table(
-            {
-                "user_id": g["user_id"],
-                "event_type": g["event_type"],
-                "c": g["c"],
-            }
-        ).to_pandas()
+        df = g.to_pandas()
         # fold cross-block partials, then per-user argmax
         df = df.groupby(["user_id", "event_type"], as_index=False)["c"].sum()
         df = df.sort_values(
@@ -182,20 +155,15 @@ def user_mode_event(sf_dir: str) -> pd.DataFrame:
             preserve_index=False,
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(bucket_mode, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [("user_id", pa.int64()), ("mode_type", pa.string()), ("n", pa.int64())]
     )
-    df = ensure_columns(
-        df, {"user_id": "int64", "mode_type": "object", "n": "int64"}
-    )
-    for c in ("user_id", "n"):
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "event_type"]),
+        "user_id", partial, bucket_mode, schema, MODE_P, pinned=False,
+    ).to_pandas()
     return (
-        df[["user_id", "mode_type", "n"]]
+        ensure_columns(df, schema)
         .sort_values("user_id")
         .reset_index(drop=True)
     )

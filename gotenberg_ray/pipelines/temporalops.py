@@ -42,7 +42,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.frames import ensure_columns
-from .relational import JOIN_PARTITIONS, _read
+from ..io import read_table
+from .joins import bucket_fold
+from .relational import JOIN_PARTITIONS
 
 BURST_WINDOW_US = 300 * 1_000_000  # 5 minutes
 
@@ -63,9 +65,7 @@ def user_value_twap(sf_dir: str) -> pd.DataFrame:
     are excluded (no duration to weight)."""
 
     def local(batch: pa.Table) -> pa.Table:
-        from .joins import partition_ids
-
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": batch["user_id"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
@@ -73,11 +73,8 @@ def user_value_twap(sf_dir: str) -> pd.DataFrame:
                 "v_e2": _v_e2(batch["value"]),
             }
         )
-        return t.append_column(
-            "pid", partition_ids(t.column("user_id"), JOIN_PARTITIONS)
-        )
 
-    def per_bucket(part: pa.Table) -> pa.Table:
+    def per_bucket(part: pa.Table) -> pa.Table | None:
         u = part["user_id"].to_numpy(zero_copy_only=False)
         ts = part["ts_us"].to_numpy(zero_copy_only=False)
         eid = part["event_id"].to_numpy(zero_copy_only=False)
@@ -86,29 +83,13 @@ def user_value_twap(sf_dir: str) -> pd.DataFrame:
         u_s, ts_s, v_s = u[order], ts[order], v[order]
         starts = np.flatnonzero(np.r_[True, u_s[1:] != u_s[:-1]])
         counts = np.diff(np.r_[starts, len(u_s)])
-        ok = counts >= 2
-        if not ok.any():
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "span_us": pa.array([], pa.int64()),
-                    "twap_e2": pa.array([], pa.int64()),
-                }
-            )
         ends = np.r_[starts[1:], len(u_s)] - 1
-        # zero-span users (every event at one microsecond) have no
-        # weightable duration — excluded, like the twin's span gate
-        ok &= ts_s[ends] > ts_s[starts]
+        # single-event and zero-span users (every event at one
+        # microsecond) have no weightable duration — excluded, like the
+        # twin's span gate
+        ok = (counts >= 2) & (ts_s[ends] > ts_s[starts])
         if not ok.any():
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "span_us": pa.array([], pa.int64()),
-                    "twap_e2": pa.array([], pa.int64()),
-                }
-            )
+            return None
         # per-row duration = gap to the next row; the gap AT a segment
         # end is a seam to the next user — zero both it and its weight
         dur = np.r_[np.diff(ts_s), np.int64(0)]
@@ -126,22 +107,14 @@ def user_value_twap(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "n_events", "span_us", "twap_e2")]
     )
-    df = ensure_columns(
-        df,
-        {"user_id": "int64", "n_events": "int64", "span_us": "int64",
-         "twap_e2": "int64"},
-    )
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts", "event_id", "value"]),
+        "user_id", local, per_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -188,7 +161,7 @@ def priority_running_revenue(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["o_orderpriority", "order_year"])
         .aggregate(Sum("cents_sum", alias_name="revenue_e2"))
@@ -231,18 +204,13 @@ def events_dedup_burst(sf_dir: str) -> pd.DataFrame:
     identity; tie order within a microsecond is event_id ASC."""
 
     def local(batch: pa.Table) -> pa.Table:
-        from .joins import partition_ids
-
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": batch["user_id"],
                 "event_type": batch["event_type"],
                 "ts_us": pc.cast(batch["ts"], pa.int64()),
                 "event_id": batch["event_id"],
             }
-        )
-        return t.append_column(
-            "pid", partition_ids(t.column("user_id"), JOIN_PARTITIONS)
         )
 
     def per_bucket(part: pa.Table) -> pa.Table:
@@ -265,20 +233,14 @@ def events_dedup_burst(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
+    schema = pa.schema(
+        [("event_id", pa.int64()), ("user_id", pa.int64()), ("event_type", pa.string())]
     )
-    df = ensure_columns(
-        df, {"event_id": "int64", "user_id": "int64", "event_type": "object"}
-    )
-    for c in ("event_id", "user_id"):
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"]),
+        "user_id", local, per_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("event_id").reset_index(drop=True)
 
 
@@ -328,29 +290,13 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
     The full interval set is never co-located and no pair is ever
     enumerated — the twin's IEJoin materializes ~2M matches at sf0.1;
     this plan moves O(sessions) rows."""
-    from .joins import partition_ids
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "pid", partition_ids(batch["user_id"], JOIN_PARTITIONS)
-        )
 
     def sessionize_bucket(part: pa.Table) -> pa.Table:
-        t = part.select(["user_id", "ts", "event_id"]).sort_by(
+        t = part.sort_by(
             [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
         )
         users = t["user_id"].to_numpy(zero_copy_only=False)
         n = len(users)
-        empty = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "seq": pa.array([], pa.int64()),
-                "start_us": pa.array([], pa.int64()),
-                "end_us": pa.array([], pa.int64()),
-            }
-        )
-        if n == 0:
-            return empty
         ts_us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         new_user = np.r_[True, users[1:] != users[:-1]]
         starts = new_user | np.r_[True, (ts_us[1:] - ts_us[:-1]) > SESSION_GAP_US]
@@ -372,13 +318,12 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    sessions = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(sessionize_bucket, batch_format="pyarrow")
-        .materialize()
-    )
+    sessions = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts", "event_id"]),
+        "user_id", None, sessionize_bucket,
+        pa.schema([(c, pa.int64()) for c in ("user_id", "seq", "start_us", "end_us")]),
+        JOIN_PARTITIONS,
+    ).materialize()
 
     # ---- day histogram → global prefix offsets (calendar-bounded)
     def day_hist(batch: pa.Table) -> pa.Table:
@@ -424,7 +369,7 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
     ends_excl = np.r_[0, np.cumsum(hist["e"].to_numpy())[:-1]].astype(np.int64)
 
     # ---- day-keyed rank exchange (points + queries, one table); the
-    # bucket key is day % P (NOT per-day groups): the composite
+    # bucket key is the day (NOT per-day groups): the composite
     # searchsorted below bounds every lookup to its own day, so a
     # bucket may hold many days and the exchange runs P vectorized
     # kernels, not |calendar| Python invocations
@@ -439,7 +384,6 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
         kind = np.repeat(np.array([0, 1, 2, 3], np.int8), n)
         return pa.table(
             {
-                "pid": pa.array((day % JOIN_PARTITIONS).astype(np.int32)),
                 "day": pa.array(day.astype(np.int64)),
                 "kind": pa.array(kind),
                 "val": pa.array(val.astype(np.int64)),
@@ -448,20 +392,11 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def rank_bucket(part: pa.Table) -> pa.Table:
+    def rank_bucket(part: pa.Table) -> pa.Table | None:
         day = part["day"].to_numpy(zero_copy_only=False)
         val = part["val"].to_numpy(zero_copy_only=False)
         kind = part["kind"].to_numpy(zero_copy_only=False)
         comp = (day << _DAY_SHIFT) | (val - day * DAY_US)
-        empty = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "seq": pa.array([], pa.int64()),
-                "contrib": pa.array([], pa.int64()),
-            }
-        )
-        if len(day) == 0:
-            return empty
         starts_c = np.sort(comp[kind == 0])
         ends_c = np.sort(comp[kind == 1])
         out_u, out_q, out_c = [], [], []
@@ -488,14 +423,10 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
             out_q.append(part["seq"].to_numpy(zero_copy_only=False)[qs])
             out_c.append(-minus)
         if not out_u:
-            return empty
-        u_all = np.concatenate(out_u).astype(np.int64)
+            return None
         return pa.table(
             {
-                # both of a session's contributions share its user_id, so
-                # a user-keyed bucket co-locates the pair for the sum
-                "spid": partition_ids(pa.array(u_all), JOIN_PARTITIONS),
-                "user_id": pa.array(u_all),
+                "user_id": pa.array(np.concatenate(out_u).astype(np.int64)),
                 "seq": pa.array(np.concatenate(out_q).astype(np.int64)),
                 "contrib": pa.array(np.concatenate(out_c).astype(np.int64)),
             }
@@ -508,13 +439,6 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
         u = part["user_id"].to_numpy(zero_copy_only=False)
         q = part["seq"].to_numpy(zero_copy_only=False)
         c = part["contrib"].to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "n_overlap": pa.array([], pa.int64()),
-                    "n_sessions": pa.array([], pa.int64()),
-                }
-            )
         order = np.lexsort((q, u))
         u_s, q_s, c_s = u[order], q[order], c[order]
         starts = np.flatnonzero(
@@ -529,21 +453,21 @@ def session_concurrency(sf_dir: str) -> pd.DataFrame:
             }
         )
 
+    ranks = bucket_fold(
+        sessions, "day", emit_rank_rows, rank_bucket,
+        pa.schema([(c, pa.int64()) for c in ("user_id", "seq", "contrib")]),
+        JOIN_PARTITIONS,
+    )
+    # both of a session's contributions share its user_id, so a
+    # user-keyed bucket co-locates the pair for the sum
+    schema = pa.schema([("n_overlap", pa.int64()), ("n_sessions", pa.int64())])
     df = (
-        sessions.map_batches(emit_rank_rows, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: rank_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .groupby("spid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: sum_and_hist(t.drop_columns(["spid"])), batch_format="pyarrow"
-        )
+        bucket_fold(ranks, "user_id", None, sum_and_hist, schema, JOIN_PARTITIONS)
         .groupby("n_overlap")
         .aggregate(_Sum("n_sessions", alias_name="n_sessions"))
         .to_pandas()
     )
-    df = ensure_columns(df, {"n_overlap": "int64", "n_sessions": "int64"})
+    df = ensure_columns(df, schema)
     for c in ("n_overlap", "n_sessions"):
         df[c] = df[c].astype("int64")
     return df.sort_values("n_overlap").reset_index(drop=True)

@@ -31,7 +31,8 @@ from ..functions.hashing import (
     simhash64_batch,
 )
 from ..schemas import KIND_TEXT, SPANS_TYPE, make_span
-from .relational import _rename  # shared column-rename helper (workers
+from .joins import bucket_fold
+from .relational import JOIN_PARTITIONS, _rename  # shared column-rename helper (workers
 # resolve UDF globals via the pickled-by-value package)
 
 
@@ -183,23 +184,17 @@ def doc_fingerprints(sf_dir: str) -> pd.DataFrame:
 # -------------------------------------------------------------------- dedup
 
 
-def _content_hash_stage(batch: pa.Table, num_partitions: int = 0) -> pa.Table:
+def _content_hash_stage(batch: pa.Table) -> pa.Table:
     """(doc_id, content-hash) map stage shared by dedup_exact and
     curation's exact-dup drop list — ONE hashing convention, so the
-    keep list and the drop list can never diverge. With
-    ``num_partitions`` a ``_pid`` column is added for the fold shuffle.
+    keep list and the drop list can never diverge.
 
     ``h`` ships as an int64 REINTERPRET of the uint64 hash (bijective,
     so equality grouping is unchanged): uint64 values above 2**63
     overflow Ray's aggregate shuffle into pickled-python-object blocks
     — correct but a disaster at corpus scale."""
     h = fnv64(batch["text"].to_pylist())
-    cols = {"doc_id": batch["doc_id"], "h": pa.array(h.view(np.int64))}
-    if num_partitions:
-        cols["_pid"] = pa.array(
-            (h % np.uint64(num_partitions)).astype(np.int32)
-        )
-    return pa.table(cols)
+    return pa.table({"doc_id": batch["doc_id"], "h": pa.array(h.view(np.int64))})
 
 
 def dedup_exact(sf_dir: str, num_partitions: int = 32) -> pd.DataFrame:
@@ -211,29 +206,15 @@ def dedup_exact(sf_dir: str, num_partitions: int = 32) -> pd.DataFrame:
     named-aggregate cardinality rule)."""
 
     def keep_min(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "h" not in part.column_names:
-            return pa.table({"keep_id": pa.array([], pa.int64())})
-        g = (
-            part.select(["h", "doc_id"])
-            .group_by("h")
-            .aggregate([("doc_id", "min")])
-        )
+        g = part.group_by("h").aggregate([("doc_id", "min")])
         return pa.table({"keep_id": g["doc_id_min"]})
 
-    df = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(
-            _content_hash_stage,
-            batch_format="pyarrow",
-            fn_kwargs={"num_partitions": num_partitions},
-        )
-        .groupby("_pid", num_partitions=num_partitions)
-        .map_groups(
-            lambda t: keep_min(t.drop_columns(["_pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
-    )
-    df = ensure_columns(df, {"keep_id": "int64"})
+    schema = pa.schema([("keep_id", pa.int64())])
+    df = bucket_fold(
+        _docs(sf_dir, ["doc_id", "text"]),
+        "h", _content_hash_stage, keep_min, schema, num_partitions,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return (
         pd.DataFrame({"doc_id": sorted(df["keep_id"])}, dtype="int64")
         .reset_index(drop=True)
@@ -291,6 +272,9 @@ ORDER BY a_id, b_id
 """
 
 
+_PAIR_SCHEMA = pa.schema([("a_id", pa.int64()), ("b_id", pa.int64())])
+
+
 def _bucket_candidate_pairs(
     buckets: rd.Dataset, num_partitions: int = 16
 ) -> rd.Dataset:
@@ -302,21 +286,15 @@ def _bucket_candidate_pairs(
     triu-index each run ≥ 2). Buckets are mostly singletons — a
     per-bucket ``map_groups`` would pay pandas overhead per singleton;
     this pays it per PARTITION (16 groups, not 10^5)."""
-    from .joins import partition_ids
 
-    def add_pid(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_pid", partition_ids(batch["bucket"], num_partitions)
-        )
-
-    def pairs_in_partition(part: pa.Table) -> pa.Table:
+    def pairs_in_partition(part: pa.Table) -> pa.Table | None:
         part = part.select(["bucket", "doc_id"]).sort_by(
             [("bucket", "ascending"), ("doc_id", "ascending")]
         )
         b = part["bucket"].to_numpy(zero_copy_only=False)
         ids = part["doc_id"].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]]) if len(b) else np.array([], dtype=np.int64)
-        ends = np.r_[starts[1:], len(b)] if len(starts) else np.array([], dtype=np.int64)
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        ends = np.r_[starts[1:], len(b)]
         lens = ends - starts
         a_out, b_out = [], []
         for s, e in zip(starts[lens >= 2], ends[lens >= 2]):
@@ -327,9 +305,7 @@ def _bucket_candidate_pairs(
             a_out.append(seg[iu])
             b_out.append(seg[ju])
         if not a_out:
-            return pa.table(
-                {"a_id": pa.array([], pa.int64()), "b_id": pa.array([], pa.int64())}
-            )
+            return None
         return pa.table(
             {
                 "a_id": pa.array(np.concatenate(a_out).astype(np.int64)),
@@ -337,25 +313,16 @@ def _bucket_candidate_pairs(
             }
         )
 
-    return (
-        buckets.map_batches(add_pid, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=num_partitions)
-        .map_groups(pairs_in_partition, batch_format="pyarrow")
+    return bucket_fold(
+        buckets, "bucket", None, pairs_in_partition, _PAIR_SCHEMA, num_partitions
     )
 
 
 def _distinct_pairs(cands: rd.Dataset, num_partitions: int = 16) -> rd.Dataset:
-    """Distributed pair dedup: one shuffle on a pair-hash pid, then
-    vectorized ``np.unique(axis=0)`` per partition (a per-pair groupby
-    would pay per-group overhead for every one of ~10^5 pairs)."""
-    from .joins import _mix64
-
-    def add_pid(batch: pa.Table) -> pa.Table:
-        a = batch["a_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            pid = (_mix64(a ^ _mix64(b)) % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("_pid", pa.array(pid))
+    """Distributed pair dedup: one shuffle on ``a_id`` (every copy of a
+    pair shares it), then vectorized ``np.unique(axis=0)`` per partition
+    (a per-pair groupby would pay per-group overhead for every one of
+    ~10^5 pairs)."""
 
     def dedup(part: pa.Table) -> pa.Table:
         arr = np.stack(
@@ -370,11 +337,7 @@ def _distinct_pairs(cands: rd.Dataset, num_partitions: int = 16) -> rd.Dataset:
             {"a_id": pa.array(u[:, 0], pa.int64()), "b_id": pa.array(u[:, 1], pa.int64())}
         )
 
-    return (
-        cands.map_batches(add_pid, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=num_partitions)
-        .map_groups(dedup, batch_format="pyarrow")
-    )
+    return bucket_fold(cands, "a_id", None, dedup, _PAIR_SCHEMA, num_partitions)
 
 
 def _gram_values(
@@ -778,36 +741,22 @@ def dedup_simhash(
     ``max_hamming`` — no per-row Python, no per-group map_groups
     (65 536 mostly-tiny groups would pay pandas overhead per group).
     No SQL oracle."""
-    from .joins import partition_ids
 
     def sig_stage(batch: pa.Table) -> pa.Table:
         sigs = simhash64_batch(batch["text"])
-        bucket = (sigs >> np.uint64(48)).astype(np.int64)
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
                 "sig": pa.array(sigs),
-                "bucket": pa.array(bucket),
-                "_pid": partition_ids(pa.array(bucket), num_partitions),
+                "bucket": pa.array((sigs >> np.uint64(48)).astype(np.int64)),
             }
         )
 
-    def pairs_in_partition(part: pa.Table) -> pa.Table:
-        part = part.select(["bucket", "doc_id", "sig"]).sort_by(
-            [("bucket", "ascending"), ("doc_id", "ascending")]
-        )
+    def pairs_in_partition(part: pa.Table) -> pa.Table | None:
+        part = part.sort_by([("bucket", "ascending"), ("doc_id", "ascending")])
         b = part["bucket"].to_numpy(zero_copy_only=False)
         ids = part["doc_id"].to_numpy(zero_copy_only=False)
         sigs = part["sig"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        empty = pa.table(
-            {
-                "a_id": pa.array([], pa.int64()),
-                "b_id": pa.array([], pa.int64()),
-                "hamming": pa.array([], pa.int64()),
-            }
-        )
-        if len(b) < 2:
-            return empty
         starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
         ends = np.r_[starts[1:], len(b)]
         lens = ends - starts
@@ -817,7 +766,7 @@ def dedup_simhash(
             i_out.append(s + iu)
             j_out.append(s + ju)
         if not i_out:
-            return empty
+            return None
         ii = np.concatenate(i_out)
         jj = np.concatenate(j_out)
         d = hamming64_pairwise(sigs[ii], sigs[jj])
@@ -830,16 +779,12 @@ def dedup_simhash(
             }
         )
 
-    df = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(sig_stage, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=num_partitions)
-        .map_groups(pairs_in_partition, batch_format="pyarrow")
-        .to_pandas()
-    )
-    df = ensure_columns(
-        df, {"a_id": "int64", "b_id": "int64", "hamming": "int64"}
-    )
+    schema = pa.schema([(c, pa.int64()) for c in ("a_id", "b_id", "hamming")])
+    df = bucket_fold(
+        _docs(sf_dir, ["doc_id", "text"]),
+        "bucket", sig_stage, pairs_in_partition, schema, num_partitions,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values(["a_id", "b_id"]).reset_index(drop=True)
 
 
@@ -949,14 +894,8 @@ def _bucket_probe_index_pairs(
     full-index) pairing containment joins need. One hash-partitioned
     shuffle on the bucket key, vectorized run detection per partition,
     per-run numpy cross product with the length filter."""
-    from .joins import partition_ids
 
-    def add_pid(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_pid", partition_ids(batch["bucket"], num_partitions)
-        )
-
-    def pairs_in_partition(part: pa.Table) -> pa.Table:
+    def pairs_in_partition(part: pa.Table) -> pa.Table | None:
         part = part.select(["bucket", "doc_id", "sz", "is_probe"]).sort_by(
             [("bucket", "ascending")]
         )
@@ -964,12 +903,8 @@ def _bucket_probe_index_pairs(
         ids = part["doc_id"].to_numpy(zero_copy_only=False)
         sz = part["sz"].to_numpy(zero_copy_only=False)
         probe = part["is_probe"].to_numpy(zero_copy_only=False).astype(bool)
-        starts = (
-            np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-            if len(b)
-            else np.array([], dtype=np.int64)
-        )
-        ends = np.r_[starts[1:], len(b)] if len(starts) else np.array([], dtype=np.int64)
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        ends = np.r_[starts[1:], len(b)]
         a_out, b_out = [], []
         for s, e in zip(starts, ends):
             pr = probe[s:e]
@@ -987,9 +922,7 @@ def _bucket_probe_index_pairs(
             a_out.append(np.minimum(pa_, ib))
             b_out.append(np.maximum(pa_, ib))
         if not a_out:
-            return pa.table(
-                {"a_id": pa.array([], pa.int64()), "b_id": pa.array([], pa.int64())}
-            )
+            return None
         return pa.table(
             {
                 "a_id": pa.array(np.concatenate(a_out).astype(np.int64)),
@@ -997,10 +930,8 @@ def _bucket_probe_index_pairs(
             }
         )
 
-    return (
-        buckets.map_batches(add_pid, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=num_partitions)
-        .map_groups(pairs_in_partition, batch_format="pyarrow")
+    return bucket_fold(
+        buckets, "bucket", None, pairs_in_partition, _PAIR_SCHEMA, num_partitions
     )
 
 
@@ -1270,64 +1201,42 @@ def contamination_check(
         vals = vals[offs[0] : offs[-1]]
         lens = np.diff(offs)
         rep = np.repeat(doc_ids, lens).astype(np.int64)
-        pid = (vals % np.uint64(16)).astype(np.int32)
-        return pa.table(
-            {
-                "gram": pa.array(vals),
-                "doc_id": pa.array(rep),
-                "_pid": pa.array(pid),
-            }
-        )
+        return pa.table({"gram": pa.array(vals), "doc_id": pa.array(rep)})
 
-    def pairs_in_partition(part: pa.Table) -> pa.Table:
+    def pairs_in_partition(part: pa.Table) -> pa.Table | None:
         df = part.to_pandas()
         is_eval = (df["doc_id"] % eval_mod) == 0
         ev, tr = df[is_eval], df[~is_eval]
         if ev.empty or tr.empty:
-            return pa.table(
-                {
-                    "eval_id": pa.array([], pa.int64()),
-                    "train_id": pa.array([], pa.int64()),
-                    "shared_grams": pa.array([], pa.int64()),
-                    "_pair_pid": pa.array([], pa.int32()),
-                }
-            )
+            return None
         m = ev.merge(tr, on="gram", suffixes=("_e", "_t"))
         c = (
             m.groupby(["doc_id_e", "doc_id_t"], sort=False)
             .size()
             .reset_index(name="shared_grams")
         )
-        e_ids = c["doc_id_e"].to_numpy(np.int64)
-        t_ids = c["doc_id_t"].to_numpy(np.int64)
-        # partition id for the fold shuffle, keyed by the PAIR so both
-        # partials of a pair land together
-        pid = (
-            (e_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-            ^ t_ids.astype(np.uint64)
-        ) % np.uint64(16)
         return pa.table(
             {
-                "eval_id": pa.array(e_ids, pa.int64()),
-                "train_id": pa.array(t_ids, pa.int64()),
+                "eval_id": pa.array(c["doc_id_e"].to_numpy(np.int64)),
+                "train_id": pa.array(c["doc_id_t"].to_numpy(np.int64)),
                 "shared_grams": pa.array(
                     c["shared_grams"].to_numpy(), pa.int64()
                 ),
-                "_pair_pid": pa.array(pid.astype(np.int32)),
             }
         )
 
-    partials = (
-        _gram_sets(sf_dir, ngram=ngram)
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=16)
-        .map_groups(pairs_in_partition, batch_format="pyarrow")
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("eval_id", "train_id", "shared_grams")]
+    )
+    partials = bucket_fold(
+        _gram_sets(sf_dir, ngram=ngram), "gram", explode, pairs_in_partition,
+        schema, 16,
     )
 
     # sub-threshold pairs (docs sharing just one common phrase) can be
     # numerous on real text, so the partial sums fold in a SECOND
     # distributed groupby — only pairs already ≥ min_shared reach the
-    # driver
+    # driver; both partials of a pair share its eval_id bucket
     def fold(part: pa.Table) -> pa.Table:
         df = (
             part.to_pandas()
@@ -1346,19 +1255,8 @@ def contamination_check(
             }
         )
 
-    df = (
-        partials.groupby("_pair_pid", num_partitions=16)
-        .map_groups(fold, batch_format="pyarrow")
-        .to_pandas()
-    )
-    if df.empty:  # empty result loses its column labels
-        return pd.DataFrame(
-            {
-                "eval_id": pd.Series([], dtype="int64"),
-                "train_id": pd.Series([], dtype="int64"),
-                "shared_grams": pd.Series([], dtype="int64"),
-            }
-        )
+    df = bucket_fold(partials, "eval_id", None, fold, schema, 16).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values(["eval_id", "train_id"]).reset_index(drop=True)
 
 
@@ -1404,17 +1302,11 @@ def _exact_dup_drops(sf_dir: str) -> set[int]:
         dropped = df.loc[df["doc_id"] != keep, "doc_id"]
         return pa.table({"doc_id": pa.array(dropped.to_numpy(), pa.int64())})
 
-    df = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(
-            _content_hash_stage,
-            batch_format="pyarrow",
-            fn_kwargs={"num_partitions": 16},
-        )
-        .groupby("_pid", num_partitions=16)
-        .map_groups(drops_in_partition, batch_format="pyarrow")
-        .to_pandas()
-    )
+    df = bucket_fold(
+        _docs(sf_dir, ["doc_id", "text"]),
+        "h", _content_hash_stage, drops_in_partition,
+        pa.schema([("doc_id", pa.int64())]), 16,
+    ).to_pandas()
     if df.empty:  # empty result loses its column labels
         return set()
     return set(df["doc_id"].tolist())
@@ -1586,41 +1478,19 @@ def vocab_top_df(sf_dir: str, k: int = 100) -> pd.DataFrame:
         # per-bucket combine (term lives wholly in its hash bucket) +
         # local top-k — the named Aggregate over the vocabulary-scale
         # term key paid Ray's sort-aggregate tax (ARCHITECTURE rule)
-        if part.num_rows == 0 or "term" not in part.column_names:
-            return pa.table(
-                {"term": pa.array([], pa.string()), "n_docs": pa.array([], pa.int64())}
-            )
         g = (
-            part.select(["term", "n"])
-            .group_by("term")
+            part.group_by("term")
             .aggregate([("n", "sum")])
             .rename_columns(["term", "n_docs"])
         )
         return local_topk(g)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        # shared pid convention (joins.partition_ids), same as every
-        # other bucket exchange — not a hand-rolled copy of the hash
-        from .joins import partition_ids
-        from .relational import JOIN_PARTITIONS
-
-        return batch.append_column(
-            "pid", partition_ids(batch["term"], JOIN_PARTITIONS)
-        )
-
-    from .relational import JOIN_PARTITIONS
-
-    df = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: bucket_topk(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
-    )
-    df = ensure_columns(df, {"term": "object", "n_docs": "int64"})
+    schema = pa.schema([("term", pa.string()), ("n_docs", pa.int64())])
+    df = bucket_fold(
+        _docs(sf_dir, ["doc_id", "text"]),
+        "term", partial_counts, bucket_topk, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     out = (
         df.sort_values(["n_docs", "term"], ascending=[False, True])
         .head(k)
@@ -1882,9 +1752,9 @@ def _batch_codepoints(texts) -> tuple[np.ndarray, np.ndarray]:
     return u, doc_off
 
 
-def _window_pair_fn(window: int, P: int, h_max: "np.uint64 | None" = None):
+def _window_pair_fn(window: int, h_max: "np.uint64 | None" = None):
     """Batch kernel factory: string batch → per-doc DISTINCT
-    ``window``-char rolling-hash rows (h, doc_id, pid), fully
+    ``window``-char rolling-hash rows (h, doc_id), fully
     vectorized — hashes computed over the batch's CONCATENATED
     codepoint stream, windows straddling a doc boundary masked out,
     per-doc dedup via the one-lexsort :func:`segment_unique`. Values
@@ -1902,11 +1772,7 @@ def _window_pair_fn(window: int, P: int, h_max: "np.uint64 | None" = None):
 
     def shingle_pairs(batch: pa.Table) -> pa.Table:
         empty = pa.table(
-            {
-                "h": pa.array([], pa.uint64()),
-                "doc_id": pa.array([], pa.int64()),
-                "pid": pa.array([], pa.int32()),
-            }
+            {"h": pa.array([], pa.uint64()), "doc_id": pa.array([], pa.int64())}
         )
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         u, doc_off = _batch_codepoints(batch["text"])
@@ -1928,13 +1794,7 @@ def _window_pair_fn(window: int, P: int, h_max: "np.uint64 | None" = None):
         np.cumsum(np.bincount(di_v, minlength=len(ids)), out=offs[1:])
         vv, oo = segment_unique(h_v, offs)
         d = np.repeat(ids, np.diff(oo))
-        return pa.table(
-            {
-                "h": pa.array(vv),
-                "doc_id": pa.array(d),
-                "pid": pa.array((vv % np.uint64(P)).astype(np.int32)),
-            }
-        )
+        return pa.table({"h": pa.array(vv), "doc_id": pa.array(d)})
 
     return shingle_pairs
 
@@ -2031,7 +1891,7 @@ ORDER BY doc_id
 
 #: session memo for the materialized duplicated-window discovery chain
 #: — the shared first half of the whole substring-dedup family
-#: (duplicate_span_stats / dedup_substring_cut / substring_cut_texts /
+#: (duplicate_span_stats / dedup_substring_cut /
 #: dedup_substring_sampled). Same contract as _GRAM_CACHE: keyed by
 #: corpus identity (path + documents.parquet mtime/size) + window +
 #: sample threshold + Ray job id (materialized blocks die with their
@@ -2073,17 +1933,11 @@ def _dup_window_lists(
     if hit is not None:
         return hit
 
-    shingle_pairs = _window_pair_fn(window, P, h_max)
+    shingle_pairs = _window_pair_fn(window, h_max)
 
     def dup_survivors(g: pa.Table) -> pa.Table:
         h = g["h"].to_numpy(zero_copy_only=False)
         d = g["doc_id"].to_numpy(zero_copy_only=False)
-        if len(h) == 0:  # empty pinned-partition group
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "h": pa.array([], pa.uint64()),
-                 "n_part": pa.array([], pa.int64())}
-            )
         order = np.argsort(h, kind="stable")
         h, d = h[order], d[order]
         starts = np.r_[True, h[1:] != h[:-1]]
@@ -2111,17 +1965,6 @@ def _dup_window_lists(
         d = g["doc_id"].to_numpy(zero_copy_only=False)
         h = g["h"].to_numpy(zero_copy_only=False)
         parts = g["n_part"].to_numpy(zero_copy_only=False)
-        if len(d) == 0:  # empty pinned-partition group
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_shingles": pa.array([], pa.int64()),
-                    "dup_hs": pa.LargeListArray.from_arrays(
-                        pa.array(np.zeros(1, np.int64)),
-                        pa.array([], pa.uint64()),
-                    ),
-                }
-            )
         cm = parts > 0
         cd, cn = d[cm], parts[cm]
         order_c = np.argsort(cd, kind="stable")
@@ -2155,22 +1998,21 @@ def _dup_window_lists(
             }
         )
 
-    def add_doc_pid(batch: pa.Table) -> pa.Table:
-        d = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "dpid", pa.array((d % P).astype(np.int32))
-        )
-
-    ds = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(shingle_pairs, batch_format="pyarrow")
-        .groupby("pid", num_partitions=P)
-        .map_groups(dup_survivors, batch_format="pyarrow")
-        .map_batches(add_doc_pid, batch_format="pyarrow")
-        .groupby("dpid", num_partitions=P)
-        .map_groups(fold_lists, batch_format="pyarrow")
-        .materialize()
+    survivors = bucket_fold(
+        _docs(sf_dir, ["doc_id", "text"]), "h", shingle_pairs, dup_survivors,
+        pa.schema(
+            [("doc_id", pa.int64()), ("h", pa.uint64()), ("n_part", pa.int64())]
+        ),
+        P,
     )
+    ds = bucket_fold(
+        survivors, "doc_id", None, fold_lists,
+        pa.schema(
+            [("doc_id", pa.int64()), ("n_shingles", pa.int64()),
+             ("dup_hs", pa.large_list(pa.uint64()))]
+        ),
+        P,
+    ).materialize()
     while len(_DUPWIN_CACHE) >= _DUPWIN_CACHE_MAX:
         _DUPWIN_CACHE.pop(next(iter(_DUPWIN_CACHE)))
     _DUPWIN_CACHE[key] = ds
@@ -2195,9 +2037,8 @@ def dedup_substring_cut(sf_dir: str, window: int = 20) -> pd.DataFrame:
     stats``'s score (Lee et al., ACL 2022): remove every character
     covered by a ``window``-char substring that also occurs in at
     least one OTHER document, and report per-doc (n_chars, n_kept,
-    cut_frac_e4). The cleaned text itself is produced by
-    :func:`substring_cut_texts` (composition form); this query returns
-    the exact integer summary, which carries a full DuckDB twin
+    cut_frac_e4). This query returns the exact integer summary, which
+    carries a full DuckDB twin
     (positions → duplicated-substring coverage via a LATERAL range
     expansion — the twin compares raw substrings, so a 64-bit hash
     collision would surface as a mismatch, as in DUP_SPANS_SQL).
@@ -2357,75 +2198,6 @@ def _substring_cut_summary(
     )
     return df.sort_values("doc_id").reset_index(drop=True)
 
-
-
-def substring_cut_texts(sf_dir: str, window: int = 20):
-    """Composition form of :func:`dedup_substring_cut`: the cleaned
-    corpus itself as a streaming Dataset of (doc_id, text) with every
-    cross-doc-duplicated ``window``-char span removed — what a
-    training-data pipeline actually feeds downstream (the stats query
-    above is the oracle-checkable summary of THIS transform; pytest
-    pins the two consistent). Same plan; the cut kernel emits the
-    surviving codepoints instead of counting them."""
-    from .joins import hash_join
-
-    P = 32
-    whash = _char_window_hasher(window)
-    dup_lists = _dup_window_lists(sf_dir, window, P).map_batches(
-        _nonempty_dup_lists, batch_format="pyarrow"
-    )
-
-    def cut(t: pa.Table) -> pa.Table:
-        ids, doc_off, u, covered = _cut_coverage(t, window, whash)
-        n_rows = len(ids)
-        keep = ~covered
-        u_kept = u[keep]
-        if len(u):
-            char_doc = np.repeat(
-                np.arange(n_rows, dtype=np.int64), np.diff(doc_off)
-            )
-            kept_doc = char_doc[keep]
-        else:
-            kept_doc = np.empty(0, np.int64)
-        # rebuild the string column WITHOUT per-doc Python strings: one
-        # utf-32→str→utf-8 round trip for the whole partition, per-doc
-        # byte offsets from the vectorized utf-8 width of each kept
-        # codepoint (1/2/3/4 bytes)
-        widths = np.ones(len(u_kept), np.int64)
-        widths[u_kept >= 0x80] = 2
-        widths[u_kept >= 0x800] = 3
-        widths[u_kept >= 0x10000] = 4
-        byte_counts = (
-            np.bincount(kept_doc, weights=widths, minlength=n_rows).astype(np.int64)
-            if len(u_kept)
-            else np.zeros(n_rows, np.int64)
-        )
-        boffs = np.zeros(n_rows + 1, np.int64)
-        np.cumsum(byte_counts, out=boffs[1:])
-        data = u_kept.tobytes().decode("utf-32-le").encode("utf-8")
-        if boffs[-1] > (1 << 31) - 1:  # keep one schema across partitions
-            raise RuntimeError(
-                "substring_cut_texts: >2 GB of text in one join partition; "
-                "raise num_partitions so partitions stay under the string-"
-                "offset limit (the 100 TB deployment scales P with corpus)"
-            )
-        text_arr = pa.Array.from_buffers(
-            pa.string(),
-            n_rows,
-            [None, pa.py_buffer(boffs.astype(np.int32).tobytes()), pa.py_buffer(data)],
-        )
-        return pa.table({"doc_id": pa.array(ids), "text": text_arr})
-
-    return hash_join(
-        _docs(sf_dir, ["doc_id", "text"]),
-        dup_lists,
-        on="doc_id",
-        join_type="left outer",
-        num_partitions=P,
-        left_schema=[("doc_id", pa.int64()), ("text", pa.string())],
-        right_schema=[("doc_id", pa.int64()), ("dup_hs", pa.large_list(pa.uint64()))],
-        joined_map=cut,
-    )
 
 
 DEDUP_SUBSTRING_CUT_SQL = """

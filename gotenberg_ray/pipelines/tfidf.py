@@ -55,7 +55,7 @@ def _explode_tf(batch: pa.Table) -> pa.Table:
 
 
 def tfidf_top_terms(sf_dir: str, k: int = 3) -> pd.DataFrame:
-    from .joins import hash_join, partition_ids
+    from .joins import bucket_fold, hash_join
     from .relational import JOIN_PARTITIONS
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -94,33 +94,28 @@ def tfidf_top_terms(sf_dir: str, k: int = 3) -> pd.DataFrame:
             pc.divide(pa.scalar(10_000 * n_docs, pa.int64()), batch["df"]), pa.int64()
         )
         s = pc.multiply(batch["tf"], idf_e4)
-        t = pa.table(
+        return pa.table(
             {"doc_id": batch["doc_id"], "term": batch["term"], "score": s}
         )
-        return t.append_column("pid", partition_ids(t.column("doc_id"), JOIN_PARTITIONS))
 
     def rank_bucket(part: pa.Table) -> pa.Table:
         from ..functions.segments import segment_ranks
 
-        t = part.select(["doc_id", "term", "score"]).sort_by(
+        t = part.sort_by(
             [("doc_id", "ascending"), ("score", "descending"), ("term", "ascending")]
         )
         rn = segment_ranks(t["doc_id"].to_numpy(zero_copy_only=False))
         t = t.append_column("rn", pa.array(rn))
         return t.filter(pa.array(rn <= k))
 
-    out = (
-        joined.map_batches(score, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(rank_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [("doc_id", pa.int64()), ("term", pa.string()),
+         ("score", pa.int64()), ("rn", pa.int64())]
     )
-    out = ensure_columns(
-        out,
-        {"doc_id": "int64", "term": "object", "score": "int64", "rn": "int64"},
-    )
-    for c in ("doc_id", "score", "rn"):
-        out[c] = out[c].astype("int64")
+    out = bucket_fold(
+        joined, "doc_id", score, rank_bucket, schema, JOIN_PARTITIONS
+    ).to_pandas()
+    out = ensure_columns(out, schema)
     return out.sort_values(["doc_id", "rn"]).reset_index(drop=True)
 
 

@@ -24,6 +24,7 @@ from ray.data.aggregate import Count, Sum
 from ..functions.frames import ensure_columns
 from ..functions.urlkit import canonicalize_url_host
 from ..io import read_table
+from .joins import bucket_fold
 
 N_HOSTS = 10
 
@@ -160,14 +161,6 @@ def link_indegree_topk(sf_dir: str, k: int = LINK_TOPK) -> pd.DataFrame:
 
     def emit_pairs(batch: pa.Table) -> pa.Table:
         i = batch["id"].to_numpy(zero_copy_only=False)
-        if len(i) == 0:
-            return pa.table(
-                {
-                    "pid": pa.array([], pa.int32()),
-                    "target": pa.array([], pa.string()),
-                    "src_host": pa.array([], pa.string()),
-                }
-            )
         host_col = hosts.take(pa.array((i % len(hosts)).astype(np.int64)))
         import pyarrow.compute as pc
 
@@ -179,24 +172,10 @@ def link_indegree_topk(sf_dir: str, k: int = LINK_TOPK) -> pd.DataFrame:
         )
         parent = np.repeat(np.arange(len(i), dtype=np.int64), counts)
         src = host_col.take(pa.array(parent))
-        pid = (fnv64(targets) % np.uint64(LINK_P)).astype(np.int32)
-        return pa.table(
-            {"pid": pa.array(pid), "target": targets, "src_host": src}
-        )
+        return pa.table({"target": targets, "src_host": src})
 
     def bucket(part: pa.Table) -> pa.Table:
-        t = part.select(["target", "src_host"]).sort_by(
-            [("target", "ascending"), ("src_host", "ascending")]
-        )
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "target": pa.array([], pa.string()),
-                    "in_degree": pa.array([], pa.int64()),
-                    "n_src_hosts": pa.array([], pa.int64()),
-                    "first_hosts": pa.array([], pa.string()),
-                }
-            )
+        t = part.sort_by([("target", "ascending"), ("src_host", "ascending")])
         import pyarrow.compute as pc
 
         tgt = pc.dictionary_encode(t["target"].combine_chunks()).indices.to_numpy(
@@ -249,21 +228,16 @@ def link_indegree_topk(sf_dir: str, k: int = LINK_TOPK) -> pd.DataFrame:
         ).head(k)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    df = (
-        rd.range(n_urls, override_num_blocks=max(8, LINK_P))
-        .map_batches(emit_pairs, batch_format="pyarrow")
-        .groupby("pid", num_partitions=LINK_P)
-        .map_groups(lambda p: bucket(p.drop_columns(["pid"])), batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [("target", pa.string()), ("in_degree", pa.int64()),
+         ("n_src_hosts", pa.int64()), ("first_hosts", pa.string())]
     )
-    df = ensure_columns(
-        df,
-        {"target": "object", "in_degree": "int64", "n_src_hosts": "int64",
-         "first_hosts": "object"},
-    )
+    df = bucket_fold(
+        rd.range(n_urls, override_num_blocks=max(8, LINK_P)),
+        "target", emit_pairs, bucket, schema, LINK_P,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     df = df.sort_values(
         ["in_degree", "target"], ascending=[False, True], kind="mergesort"
     ).head(k)
-    for c in ("in_degree", "n_src_hosts"):
-        df[c] = df[c].astype("int64")
     return df.reset_index(drop=True)

@@ -30,16 +30,11 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Count, Sum
 
 from ..functions.frames import ensure_columns
+from ..io import read_table
 
 REF_SEGMENT = "AUTOMOBILE"
 WINDOW_LO = "1993-01-01"
 WINDOW_HI = "1996-12-31"
-
-
-def _read(sf_dir: str, table: str, columns=None):
-    from ..io import read_table
-
-    return read_table(sf_dir, table, columns)
 
 
 def orders_expectations(sf_dir: str) -> pd.DataFrame:
@@ -74,7 +69,7 @@ def orders_expectations(sf_dir: str) -> pd.DataFrame:
         )
 
     row = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
         .map_batches(range_partials, batch_format="pyarrow")
         .aggregate(Sum("out_window"), Sum("nonpos"), Sum("rows"))
     )
@@ -89,7 +84,7 @@ def orders_expectations(sf_dir: str) -> pd.DataFrame:
         ).group_by("o_custkey").aggregate([])
 
     n_distinct = (
-        _read(sf_dir, "orders", ["o_custkey"])
+        read_table(sf_dir, "orders", ["o_custkey"])
         .map_batches(local_keys, batch_format="pyarrow")
         .groupby("o_custkey")
         .aggregate(Count(alias_name="_c"))
@@ -103,8 +98,8 @@ def orders_expectations(sf_dir: str) -> pd.DataFrame:
         return pa.table({"c_custkey": batch.filter(keep)["c_custkey"]})
 
     orphans = hash_join(
-        _read(sf_dir, "orders", ["o_custkey"]),
-        _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+        read_table(sf_dir, "orders", ["o_custkey"]),
+        read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
             ref_side, batch_format="pyarrow"
         ),
         on="o_custkey",

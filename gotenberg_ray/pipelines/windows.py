@@ -35,7 +35,8 @@ from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
 from ..functions.segments import segment_starts
-from .relational import _read
+from ..io import read_table
+from .joins import bucket_fold
 
 US = 1_000_000
 
@@ -77,26 +78,14 @@ def events_asof_attribution(sf_dir: str) -> pd.DataFrame:
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "pid": pa.array((uid % _WIN_P).astype(np.int32)),
                 "user_id": pa.array(uid),
                 "ts_us": pa.array(_ts_us(b.column("ts"))),
                 "is_p": pc.cast(pc.equal(b["event_type"], "purchase"), pa.int8()),
             }
         )
 
-    empty = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "n_purchases": pa.array([], pa.int64()),
-            "n_attributed": pa.array([], pa.int64()),
-            "latency_s": pa.array([], pa.int64()),
-        }
-    )
-
     def per_bucket(part: pa.Table) -> pa.Table:
         n = part.num_rows
-        if n == 0:
-            return empty
         uid = part["user_id"].to_numpy(zero_copy_only=False)
         ts = part["ts_us"].to_numpy(zero_copy_only=False)
         is_p = part["is_p"].to_numpy(zero_copy_only=False).astype(bool)
@@ -125,20 +114,15 @@ def events_asof_attribution(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64())
+         for c in ("user_id", "n_purchases", "n_attributed", "latency_s")]
     )
-    df = ensure_columns(
-        df,
-        {"user_id": "int64", "n_purchases": "int64",
-         "n_attributed": "int64", "latency_s": "int64"},
-    )
-    for c in ("user_id", "n_purchases", "n_attributed", "latency_s"):
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts", "event_type"]),
+        "user_id", bucket, per_bucket, schema, _WIN_P, pinned=False,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -219,7 +203,7 @@ def events_range_campaigns(sf_dir: str) -> pd.DataFrame:
             )
 
     df = (
-        _read(sf_dir, "events", ["ts", "value"])
+        read_table(sf_dir, "events", ["ts", "value"])
         .map_batches(_task_stage(PartialRangeAgg), batch_format="pyarrow")
         .groupby("campaign_id")
         .aggregate(Sum("n", alias_name="n_events"), Sum("s", alias_name="sum_value_e2"))
@@ -272,7 +256,6 @@ def events_rolling_peak(sf_dir: str, window_s: int = 3600) -> pd.DataFrame:
         uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "pid": pa.array((uid % _WIN_P).astype(np.int32)),
                 "user_id": pa.array(uid),
                 "ts_us": pa.array(_ts_us(batch.column("ts"))),
             }
@@ -280,14 +263,6 @@ def events_rolling_peak(sf_dir: str, window_s: int = 3600) -> pd.DataFrame:
 
     def per_bucket(part: pa.Table) -> pa.Table:
         n = part.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "peak_1h": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                }
-            )
         uid = part["user_id"].to_numpy(zero_copy_only=False)
         ts = part["ts_us"].to_numpy(zero_copy_only=False)
         order = np.lexsort((ts, uid))
@@ -312,18 +287,12 @@ def events_rolling_peak(sf_dir: str, window_s: int = 3600) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
-    df = ensure_columns(
-        df, {"user_id": "int64", "peak_1h": "int64", "n_events": "int64"}
-    )
-    for c in ("user_id", "peak_1h", "n_events"):
-        df[c] = df[c].astype("int64")
+    schema = pa.schema([(c, pa.int64()) for c in ("user_id", "peak_1h", "n_events")])
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts"]),
+        "user_id", bucket, per_bucket, schema, _WIN_P, pinned=False,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -371,7 +340,7 @@ def _event_day_bounds(sf_dir: str) -> tuple[int, int] | None:
         return pa.table({"day": pa.array(_day_nums(batch["ts"]))})
 
     row = (
-        _read(sf_dir, "events", ["ts"])
+        read_table(sf_dir, "events", ["ts"])
         .map_batches(prep, batch_format="pyarrow")
         .aggregate(Min("day"), Max("day"))
     )
@@ -404,7 +373,7 @@ def events_gap_fill(sf_dir: str) -> pd.DataFrame:
         return g.rename_columns(["day", "event_type", "n"])
 
     counts = (
-        _read(sf_dir, "events", ["ts", "event_type"])
+        read_table(sf_dir, "events", ["ts", "event_type"])
         .map_batches(prep, batch_format="pyarrow")
         .groupby(["day", "event_type"])
         .aggregate(Sum("n", alias_name="n"))
@@ -501,33 +470,15 @@ def rolling_distinct_users(sf_dir: str) -> pd.DataFrame:
     def local_pairs(batch: pa.Table) -> pa.Table:
         days = _day_nums(batch["ts"])
         users = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(users) == 0:  # zero-row block
-            return pa.table(
-                {
-                    "day": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "_pid": pa.array([], pa.int32()),
-                }
-            )
         order = np.lexsort((days, users))
         du, uu = days[order], users[order]
         keep = np.r_[True, (du[1:] != du[:-1]) | (uu[1:] != uu[:-1])]
         du, uu = du[keep], uu[keep]
-        return pa.table(
-            {
-                "day": pa.array(du),
-                "user_id": pa.array(uu),
-                "_pid": pa.array((uu % P).astype(np.int32)),
-            }
-        )
+        return pa.table({"day": pa.array(du), "user_id": pa.array(uu)})
 
-    def bucket_fold(g: pa.Table) -> pa.Table:
+    def window_counts(g: pa.Table) -> pa.Table:
         days = g["day"].to_numpy(zero_copy_only=False)
         users = g["user_id"].to_numpy(zero_copy_only=False)
-        if len(users) == 0:  # empty pinned-partition group
-            return pa.table(
-                {"day": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
         order = np.lexsort((days, users))
         du, uu = days[order], users[order]
         keep = np.r_[True, (du[1:] != du[:-1]) | (uu[1:] != uu[:-1])]
@@ -549,10 +500,11 @@ def rolling_distinct_users(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "events", ["ts", "user_id"])
-        .map_batches(local_pairs, batch_format="pyarrow")
-        .groupby("_pid", num_partitions=P)
-        .map_groups(bucket_fold, batch_format="pyarrow")
+        bucket_fold(
+            read_table(sf_dir, "events", ["ts", "user_id"]),
+            "user_id", local_pairs, window_counts,
+            pa.schema([("day", pa.int64()), ("n", pa.int64())]), P,
+        )
         .groupby("day")
         .aggregate(Sum("n", alias_name="n_users_7d"))
         .to_pandas()
@@ -607,7 +559,7 @@ def orders_scd2_join(sf_dir: str) -> pd.DataFrame:
     never forces a driver pass or a second exchange; money is exact
     integer cents."""
     from .joins import hash_join
-    from .relational import _read, _rename
+    from .relational import _rename
 
     def fact_prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -638,9 +590,9 @@ def orders_scd2_join(sf_dir: str) -> pd.DataFrame:
         )
 
     joined = hash_join(
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
         .map_batches(fact_prep, batch_format="pyarrow"),
-        _read(sf_dir, "customer", ["c_custkey"]).map_batches(
+        read_table(sf_dir, "customer", ["c_custkey"]).map_batches(
             dim_prep, batch_format="pyarrow"
         ),
         on="o_custkey",
@@ -787,13 +739,7 @@ def user_active_time(sf_dir: str) -> pd.DataFrame:
     def bucket(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         s = _ts_us(batch.column("ts"))
-        return pa.table(
-            {
-                "pid": pa.array(uid % _COV_P),
-                "user_id": pa.array(uid),
-                "s": pa.array(s),
-            }
-        )
+        return pa.table({"user_id": pa.array(uid), "s": pa.array(s)})
 
     def cover(part: pa.Table) -> pa.Table:
         uid = part["user_id"].to_numpy(zero_copy_only=False)
@@ -807,18 +753,14 @@ def user_active_time(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(cover, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "active_us", "n_events")]
     )
-    df = ensure_columns(
-        df, {"user_id": "int64", "active_us": "int64", "n_events": "int64"}
-    )
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts"]),
+        "user_id", bucket, cover, schema, _COV_P, pinned=False,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -868,10 +810,7 @@ def user_retention(sf_dir: str) -> pd.DataFrame:
         key = uid * (np.int64(1) << np.int64(32)) + day
         key = np.unique(key)
         return pa.table(
-            {
-                "pid": pa.array(((key >> np.int64(32)) % _RET_P).astype(np.int32)),
-                "key": pa.array(key),
-            }
+            {"user": pa.array(key >> np.int64(32)), "key": pa.array(key)}
         )
 
     def probe(part: pa.Table) -> pa.Table:
@@ -892,10 +831,14 @@ def user_retention(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(probe, batch_format="pyarrow")
+        bucket_fold(
+            read_table(sf_dir, "events", ["user_id", "ts"]),
+            "user", pairs, probe,
+            pa.schema(
+                [(c, pa.int64()) for c in ("day", "n_active", "n_retained")]
+            ),
+            _RET_P, pinned=False,
+        )
         .groupby("day")
         .aggregate(
             Sum("n_active", alias_name="n_active"),
@@ -947,7 +890,7 @@ def events_decayed_score(sf_dir: str) -> pd.DataFrame:
     result. The score depends on a global watermark, which is why this
     is not just a groupby — the plan broadcasts the scalar, never the
     data."""
-    ds = _read(sf_dir, "events", ["ts", "event_type"])
+    ds = read_table(sf_dir, "events", ["ts", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
         day = _ts_us(batch.column("ts")) // DAY_US
@@ -1041,7 +984,6 @@ def click_purchase_pairs(sf_dir: str) -> pd.DataFrame:
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "pid": pa.array((uid % P).astype(np.int32)),
                 "user_id": pa.array(uid),
                 "ts_us": pa.array(_ts_us(b.column("ts"))),
                 "is_p": pc.cast(
@@ -1085,18 +1027,14 @@ def click_purchase_pairs(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "n_pairs", "total_gap_s")]
     )
-    df = ensure_columns(
-        df, {"user_id": "int64", "n_pairs": "int64", "total_gap_s": "int64"}
-    )
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "events", ["user_id", "ts", "event_type"]),
+        "user_id", bucket, per_bucket, schema, P, pinned=False,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1145,7 +1083,7 @@ def events_spike_days(sf_dir: str) -> pd.DataFrame:
         )
 
     daily = (
-        _read(sf_dir, "events", ["ts"])
+        read_table(sf_dir, "events", ["ts"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .aggregate(Sum("n", alias_name="n"))
@@ -1243,7 +1181,6 @@ def event_transitions(sf_dir: str) -> pd.DataFrame:
         uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "pid": pa.array((uid % _TRANS_P).astype(np.int32)),
                 "user_id": pa.array(uid),
                 "ts_us": pa.array(_ts_us(batch.column("ts"))),
                 "event_id": batch["event_id"],
@@ -1276,10 +1213,15 @@ def event_transitions(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(transitions, batch_format="pyarrow")
+        bucket_fold(
+            read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]),
+            "user_id", bucket, transitions,
+            pa.schema(
+                [("prev_type", pa.string()), ("event_type", pa.string()),
+                 ("n", pa.int64())]
+            ),
+            _TRANS_P, pinned=False,
+        )
         .groupby(["prev_type", "event_type"])
         .aggregate(Sum("n", alias_name="n"))
         .to_pandas()
@@ -1327,7 +1269,7 @@ def events_peak_concurrency(sf_dir: str) -> pd.DataFrame:
     argmin-t are exact and layout-independent.
     """
     win_us = np.int64(CONCURRENCY_WINDOW_S) * US
-    ds = _read(sf_dir, "events", columns=["ts"])
+    ds = read_table(sf_dir, "events", columns=["ts"])
 
     def minmax(batch: pa.Table) -> pa.Table:
         t = _ts_us(batch.column("ts"))

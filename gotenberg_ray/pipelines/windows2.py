@@ -45,19 +45,15 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..functions.frames import ensure_columns
+from ..functions.limbs import to_cents
 from ..functions.segments import bincount_i64
-from .relational import JOIN_PARTITIONS, _read
+from ..io import read_table
+from .joins import bucket_fold
+from .relational import JOIN_PARTITIONS
 from .windows import _fmt_days
 
 US = 1_000_000
 DAY_US = 86_400 * US
-
-
-def _cents(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
-    return pc.cast(
-        pc.round(pc.multiply(col, 100.0), round_mode="half_towards_infinity"),
-        pa.int64(),
-    )
 
 
 def _order_days(batch: pa.Table) -> np.ndarray:
@@ -81,7 +77,7 @@ def orders_moving_avg(sf_dir: str) -> pd.DataFrame:
 
     def partial(batch: pa.Table) -> pa.Table:
         days = _order_days(batch)
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
+        cents = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         uniq, inv = np.unique(days, return_inverse=True)
         return pa.table(
             {
@@ -91,7 +87,7 @@ def orders_moving_avg(sf_dir: str) -> pd.DataFrame:
         )
 
     daily = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("day")
         .aggregate(Sum("cents", alias_name="revenue_e2"))
@@ -169,20 +165,15 @@ def customer_order_gaps(sf_dir: str) -> pd.DataFrame:
     single lexsort + segmented diff — no per-customer Python calls."""
 
     def local(batch: pa.Table) -> pa.Table:
-        from .joins import partition_ids
-
         cust = batch["o_custkey"].to_numpy(zero_copy_only=False)
         days = _order_days(batch)
         # batch-local distinct (cust, day) fold
         order = np.lexsort((days, cust))
         c_s, d_s = cust[order], days[order]
         keep = np.r_[True, (c_s[1:] != c_s[:-1]) | (d_s[1:] != d_s[:-1])]
-        t = pa.table({"o_custkey": pa.array(c_s[keep]), "day": pa.array(d_s[keep])})
-        return t.append_column(
-            "pid", partition_ids(t.column("o_custkey"), JOIN_PARTITIONS)
-        )
+        return pa.table({"o_custkey": pa.array(c_s[keep]), "day": pa.array(d_s[keep])})
 
-    def per_bucket(part: pa.Table) -> pa.Table:
+    def per_bucket(part: pa.Table) -> pa.Table | None:
         cust = part["o_custkey"].to_numpy(zero_copy_only=False)
         days = part["day"].to_numpy(zero_copy_only=False)
         order = np.lexsort((days, cust))
@@ -194,15 +185,7 @@ def customer_order_gaps(sf_dir: str) -> pd.DataFrame:
         counts = np.diff(np.r_[starts, len(c_s)])
         ok = counts >= 3
         if not ok.any():
-            return pa.table(
-                {
-                    "o_custkey": pa.array([], pa.int64()),
-                    "n_days": pa.array([], pa.int64()),
-                    "span_days": pa.array([], pa.int64()),
-                    "max_gap_days": pa.array([], pa.int64()),
-                    "mean_gap_e2": pa.array([], pa.int64()),
-                }
-            )
+            return None
         ends = np.r_[starts[1:], len(c_s)] - 1
         gaps = np.diff(d_s)  # gap at i spans rows i..i+1
         # a segment's own gaps live at [start, end-1]; the gap AT `end`
@@ -228,22 +211,15 @@ def customer_order_gaps(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in
+         ("o_custkey", "n_days", "span_days", "max_gap_days", "mean_gap_e2")]
     )
-    df = ensure_columns(
-        df,
-        {"o_custkey": "int64", "n_days": "int64", "span_days": "int64",
-         "max_gap_days": "int64", "mean_gap_e2": "int64"},
-    )
-    for c in df.columns:
-        df[c] = df[c].astype("int64")
+    df = bucket_fold(
+        read_table(sf_dir, "orders", ["o_custkey", "o_orderdate"]),
+        "o_custkey", local, per_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     return df.sort_values("o_custkey").reset_index(drop=True)
 
 
@@ -278,18 +254,16 @@ def first_order_cohort_revenue(sf_dir: str) -> pd.DataFrame:
     P category-bounded grids — no per-customer data leaves the workers."""
 
     def local(batch: pa.Table) -> pa.Table:
-        from .joins import partition_ids
-
         cust = batch["o_custkey"].to_numpy(zero_copy_only=False)
         yr = pc.cast(pc.year(batch["o_orderdate"]), pa.int64()).to_numpy(
             zero_copy_only=False
         )
-        cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
+        cents = to_cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
         order = np.lexsort((yr, cust))
         c_s, y_s = cust[order], yr[order]
         starts = np.flatnonzero(np.r_[True, (c_s[1:] != c_s[:-1]) | (y_s[1:] != y_s[:-1])])
         seg = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(c_s)]))
-        t = pa.table(
+        return pa.table(
             {
                 "o_custkey": pa.array(c_s[starts]),
                 "yr": pa.array(y_s[starts]),
@@ -298,9 +272,6 @@ def first_order_cohort_revenue(sf_dir: str) -> pd.DataFrame:
                     np.diff(np.r_[starts, len(c_s)]).astype(np.int64)
                 ),
             }
-        )
-        return t.append_column(
-            "pid", partition_ids(t.column("o_custkey"), JOIN_PARTITIONS)
         )
 
     def per_bucket(part: pa.Table) -> pa.Table:
@@ -325,20 +296,14 @@ def first_order_cohort_revenue(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    df = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
-        .map_batches(local, batch_format="pyarrow")
-        .groupby("pid", num_partitions=JOIN_PARTITIONS)
-        .map_groups(
-            lambda t: per_bucket(t.drop_columns(["pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
+    schema = pa.schema(
+        [(c, pa.int64()) for c in ("cohort_year", "order_year", "cents", "n")]
     )
-    df = ensure_columns(
-        df,
-        {"cohort_year": "int64", "order_year": "int64",
-         "cents": "int64", "n": "int64"},
-    )
+    df = bucket_fold(
+        read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]),
+        "o_custkey", local, per_bucket, schema, JOIN_PARTITIONS,
+    ).to_pandas()
+    df = ensure_columns(df, schema)
     out = (
         df.groupby(["cohort_year", "order_year"], as_index=False)
         .agg(revenue_e2=("cents", "sum"), n_orders=("n", "sum"))
@@ -379,7 +344,7 @@ def priority_yoy_delta(sf_dir: str) -> pd.DataFrame:
             {
                 "o_orderpriority": batch["o_orderpriority"],
                 "order_year": pc.cast(pc.year(batch["o_orderdate"]), pa.int64()),
-                "cents": _cents(batch["o_totalprice"]),
+                "cents": to_cents(batch["o_totalprice"]),
             }
         )
         return t.group_by(["o_orderpriority", "order_year"]).aggregate(
@@ -387,7 +352,7 @@ def priority_yoy_delta(sf_dir: str) -> pd.DataFrame:
         )
 
     df = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
+        read_table(sf_dir, "orders", ["o_orderpriority", "o_orderdate", "o_totalprice"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["o_orderpriority", "order_year"])
         .aggregate(Sum("cents_sum", alias_name="revenue_e2"))

@@ -82,11 +82,6 @@ def get(name: str) -> StageSpec:
         ) from None
 
 
-def descriptors() -> list[StageSpec]:
-    """GetModuleDescriptors analogue: sorted by name (modules.go:124-147)."""
-    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
 def _check_schema(spec: StageSpec, ds) -> None:
     """Compile-time column check (Validator analogue). Ray schemas may
     be unknown before execution; only verify when cheaply available."""
@@ -397,56 +392,3 @@ def register_builtins() -> None:
     # flag only AFTER the final registration: a failure mid-way must
     # not leave the registry permanently partial behind the guard
     _BUILTINS_DONE = True
-
-
-#: the canonical LLM training-data composition as a registry stage
-#: list — ``compile_pipeline(training_stage_list(sf_dir))`` yields the
-#: packed shard manifest (crawl → extract → gate → dedup → pack →
-#: shards), the same plan ``train.training_data_pipeline`` runs.
-def training_stage_list(
-    sf_dir: str,
-    ctx: int = 256,
-    min_tokens: int = 5,
-    out_dir: str | None = None,
-    classifier_min_bp: int | None = None,
-) -> list:
-    stages: list = [
-        ("crawl_convert", {"sf_dir": sf_dir}),
-        "extract_text",
-        ("quality_gate", {"min_tokens": min_tokens}),
-    ]
-    if classifier_min_bp is not None:
-        # model-based curation between the cheap heuristic gate and the
-        # dedup fold: train on the seed corpus, gate the crawl text
-        stages.append(
-            ("classifier_gate", {"sf_dir": sf_dir, "min_score_bp": classifier_min_bp})
-        )
-    stages += [
-        "dedup_parts",
-        ("pack_contexts", {"ctx": ctx}),
-        ("shard_sink", {"out_dir": out_dir}),
-    ]
-    return stages
-
-
-#: the interleaved text+media composition as a registry stage list —
-#: ``compile_pipeline(training_interleaved_stage_list(sf_dir))`` yields
-#: the dual-budget pack manifest (crawl w/ media spans → extract
-#: text+media → gate → dedup (budget rides) → interleaved pack →
-#: shards); pinned equal to ``train.training_interleaved_pipeline``'s
-#: manifest in tests/test_registry.py
-def training_interleaved_stage_list(
-    sf_dir: str,
-    ctx_tokens: int = 256,
-    ctx_media: int = 8,
-    min_tokens: int = 5,
-    out_dir: str | None = None,
-) -> list:
-    return [
-        ("crawl_convert_media", {"sf_dir": sf_dir}),
-        "extract_text_media",
-        ("quality_gate", {"min_tokens": min_tokens}),
-        "dedup_parts_media",
-        ("pack_interleaved_contexts", {"ctx_tokens": ctx_tokens, "ctx_media": ctx_media}),
-        ("shard_sink", {"out_dir": out_dir, "key": "cell"}),
-    ]

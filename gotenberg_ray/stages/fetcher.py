@@ -153,35 +153,20 @@ def synthetic_links_batch(
 
 
 class SimulatedFetcher:
-    """Callable-class stage for ``map_batches(..., concurrency=N)``.
-
-    ``docs`` may be a pyarrow Table, a prebuilt ``build_state`` tuple,
-    or a ``ray.ObjectRef`` to either (broadcast with ``ray.put``,
-    resolved once per actor here, never per batch). State stays
-    ARROW-NATIVE: the spans column lives in the object store and is
-    shared zero-copy by every actor — no per-actor unpickling of a
-    Python document dict; page spans flow into the output via ``take``.
+    """Simulated fetch over a ``build_state`` tuple — built ONCE on the
+    driver and broadcast, so a worker's ``__init__`` stays O(1) (small
+    epochs land on arbitrary task workers; a per-worker spans copy was
+    a 0.4 s floor). State stays ARROW-NATIVE: the spans column lives in
+    the object store and is shared zero-copy by every worker; page
+    spans flow into the output via ``take``.
     """
 
-    def __init__(self, docs, link_universe: int = 1000, max_links: int = 3):
-        try:  # resolve a broadcast ObjectRef without importing ray eagerly
-            import ray
-
-            if isinstance(docs, ray.ObjectRef):
-                docs = ray.get(docs)
-        except ImportError:
-            pass
-        if not isinstance(docs, tuple):
-            docs = self.build_state(docs)
-        if len(docs) == 2:  # legacy (docs_table, stats) shape
-            docs = self._extend_state(*docs)
-        docs_table, stats, spans_plus, row_of = docs
+    def __init__(self, state: tuple, link_universe: int = 1000, max_links: int = 3):
+        docs_table, stats, spans_plus = state
         self.n_docs = docs_table.num_rows
         self.spans_col = spans_plus
         self.empty_idx = self.n_docs
-        self.row_of = row_of
         # doc-id lookup column for the vectorized pc.index_in probe
-        # (same mapping as row_of; the dict stays for scalar callers)
         did = docs_table.column("doc_id")
         self.doc_id_col = did.combine_chunks() if isinstance(did, pa.ChunkedArray) else did
         self.stats = stats  # dict of np arrays + origins sets
@@ -190,23 +175,9 @@ class SimulatedFetcher:
         self._fail_cache: dict[str, np.ndarray] = {}
 
     @staticmethod
-    def _extend_state(docs_table: pa.Table, stats: dict) -> tuple:
-        """Heavy derived state, built ONCE on the driver and broadcast —
-        worker __init__ must stay O(1) (small epochs land on arbitrary
-        task workers; a per-worker spans copy was a 0.4 s floor)."""
-        spans_col = docs_table.column("spans")
-        if isinstance(spans_col, pa.ChunkedArray):
-            spans_col = spans_col.combine_chunks()
-        # sentinel EMPTY row at index n_docs — error rows `take` it
-        # instead of a branch per row
-        empty = pa.array([[]], type=spans_col.type)
-        spans_plus = pa.concat_arrays([spans_col, empty])
-        row_of = {d: i for i, d in enumerate(docs_table.column("doc_id").to_pylist())}
-        return docs_table, stats, spans_plus, row_of
-
-    @classmethod
-    def build_state(cls, docs: pa.Table) -> tuple:
-        """Per-doc network aggregates — pure functions of the doc,
+    def build_state(docs: pa.Table) -> tuple:
+        """(docs, per-doc stats, spans + sentinel EMPTY row). The stats
+        are per-doc network aggregates — pure functions of the doc,
         computed ONCE centrally and broadcast. Fully Arrow/numpy
         vectorized (flatten + parent-index bincounts): the previous
         per-span Python loop was ~1.3 s of serial driver time per run,
@@ -270,7 +241,10 @@ class SimulatedFetcher:
             "origins": origins,
             "origins_len": np.fromiter((len(o) for o in origins), np.int64, n),
         }
-        return cls._extend_state(docs, stats)
+        # sentinel EMPTY row at index n_docs — error rows `take` it
+        # instead of a branch per row
+        spans_plus = pa.concat_arrays([spans_col, pa.array([[]], type=spans_col.type)])
+        return docs, stats, spans_plus
 
     def _fail_set(self, options_json: str) -> np.ndarray:
         cached = self._fail_cache.get(options_json)

@@ -197,15 +197,15 @@ def test_training_stage_list_with_classifier_gate(tmp_path):
     """The composition accepts the model gate: threshold 0 reproduces
     the ungated manifest; a real threshold packs ≤ as many tokens."""
     from gotenberg_ray import registry
-    from gotenberg_ray.registry import training_stage_list
+    from test_registry import training_stages
 
     sf = "/root/testdata/sf0.001"
     registry.register_builtins()
     base = registry.compile_pipeline(
-        training_stage_list(sf, out_dir=str(tmp_path / "a"))
+        training_stages(sf, str(tmp_path / "a"))
     ).to_pandas()
     gated0 = registry.compile_pipeline(
-        training_stage_list(sf, out_dir=str(tmp_path / "b"), classifier_min_bp=0)
+        training_stages(sf, str(tmp_path / "b"), classifier_min_bp=0)
     ).to_pandas()
     cols = ["keep_key", "n_tokens", "pack_id"]
     pd.testing.assert_frame_equal(
@@ -213,7 +213,7 @@ def test_training_stage_list_with_classifier_gate(tmp_path):
         gated0[cols].sort_values(cols).reset_index(drop=True),
     )
     gated = registry.compile_pipeline(
-        training_stage_list(sf, out_dir=str(tmp_path / "c"), classifier_min_bp=4000)
+        training_stages(sf, str(tmp_path / "c"), classifier_min_bp=4000)
     ).to_pandas()
     assert gated["n_tokens"].sum() <= base["n_tokens"].sum()
 

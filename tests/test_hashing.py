@@ -1,4 +1,5 @@
 import numpy as np
+import pyarrow as pa
 
 from gotenberg_ray.functions import hashing as H
 
@@ -92,6 +93,6 @@ def test_hamming64_pairwise():
 
 
 def test_shingles():
-    sh = H.shingle_hashes(["a", "b", "c", "d"], n=2)
-    assert len(sh) == 3
-    assert len(H.shingle_hashes([], n=3)) == 0
+    vals, offs = H.shingle_hashes_batch(pa.array(["a b c d", "a", ""]), n=2)
+    assert np.diff(offs).tolist() == [3, 1, 0]
+    assert vals.tolist() == H.fnv64(["a b", "b c", "c d", "a"]).tolist()

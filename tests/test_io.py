@@ -44,7 +44,7 @@ class TestResumablePartitionedWrite:
         import pandas as pd
         import ray.data as rd
 
-        from gotenberg_ray.io import read_partitioned, write_partitioned
+        from gotenberg_ray.io import write_partitioned
 
         src = pd.read_parquet(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "lang"])
@@ -69,256 +69,13 @@ class TestResumablePartitionedWrite:
         assert second["skipped_buckets"] == 8 - killed
         assert second["written_buckets"] == killed
 
-        back = read_partitioned(out).to_pandas().sort_values("doc_id")
+        # bucket-<i>/part.parquet files; markers start with "_" and are
+        # skipped by the parquet dataset reader
+        back = pq.read_table(out).to_pandas().sort_values("doc_id")
         pd.testing.assert_frame_equal(
             back.reset_index(drop=True),
             src.sort_values("doc_id").reset_index(drop=True),
         )
-
-    def test_incomplete_bucket_is_invisible(self, tmp_path, sf_dir):
-        import pandas as pd
-        import ray.data as rd
-
-        from gotenberg_ray.io import read_partitioned, write_partitioned
-
-        src = pd.read_parquet(f"{sf_dir}/documents.parquet",
-                              columns=["doc_id", "lang"])
-        out = str(tmp_path / "partial")
-        write_partitioned(rd.from_pandas(src), out, key="doc_id",
-                          num_partitions=4)
-        victim = sorted(
-            d for d in os.listdir(out) if d.startswith("bucket-")
-        )[0]
-        os.remove(os.path.join(out, victim, "_COMPLETE"))
-        visible = read_partitioned(out).to_pandas()
-        assert 0 < len(visible) < len(src)
-
-
-class TestAlternateSources:
-    """CSV reader — same engine, different landing format."""
-
-    def _docs(self, sf_dir):
-        import pyarrow.parquet as pq
-
-        return pq.read_table(f"{sf_dir}/documents.parquet")
-
-    def test_csv_roundtrip_matches_parquet(self, ray_session, sf_dir, tmp_path):
-        import pyarrow.csv as pacsv
-
-        from gotenberg_ray import io as gio
-
-        t = self._docs(sf_dir).select(["doc_id", "lang", "source", "n_chars"])
-        p = tmp_path / "documents.csv"
-        pacsv.write_csv(t, str(p))
-        got = (
-            gio.read_csv(str(p), columns=["doc_id", "source"])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        want = (
-            t.select(["doc_id", "source"])
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got[want.columns], want)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestAppendAndCompact:
-    def _mk(self, tmp_path, runs=3, rows=64):
-        import ray.data as rd
-
-        out = str(tmp_path / "landing")
-        total = 0
-        for r in range(runs):
-            t = pa.table(
-                {
-                    "doc_id": pa.array(
-                        range(r * rows, (r + 1) * rows), pa.int64()
-                    ),
-                    "v": pa.array([r] * rows, pa.int64()),
-                }
-            )
-            res = gio.write_partitioned(
-                rd.from_arrow(t), out, key="doc_id",
-                num_partitions=4, append=True,
-            )
-            total += res["written_rows"]
-        return out, total
-
-    def test_append_accumulates_and_compact_merges(self, tmp_path):
-        out, total = self._mk(tmp_path)
-        before = gio.read_partitioned(out).to_pandas()
-        assert len(before) == total
-        # each bucket holds several small files
-        bdirs = [d for d in os.listdir(out) if d.startswith("bucket-")]
-        n_files = sum(
-            len([f for f in os.listdir(os.path.join(out, d)) if f.endswith(".parquet")])
-            for d in bdirs
-        )
-        assert n_files > len(bdirs)
-        res = gio.compact_partitioned(out)
-        assert res["rows"] == total and res["removed_files"] > 0
-        after = gio.read_partitioned(out).to_pandas()
-        pd.testing.assert_frame_equal(
-            before.sort_values("doc_id").reset_index(drop=True),
-            after.sort_values("doc_id").reset_index(drop=True),
-        )
-        # idempotent: second run finds nothing to do
-        assert gio.compact_partitioned(out)["compacted_buckets"] == 0
-        # exactly one merged file remains per bucket
-        for d in bdirs:
-            files = [
-                f for f in os.listdir(os.path.join(out, d))
-                if f.endswith(".parquet")
-            ]
-            assert files == ["compacted.parquet"]
-
-    def test_compact_heals_interrupted_bucket(self, tmp_path):
-        out, total = self._mk(tmp_path, runs=2)
-        bdir = os.path.join(
-            out, sorted(d for d in os.listdir(out) if d.startswith("bucket-"))[0]
-        )
-        parts = sorted(
-            f for f in os.listdir(bdir) if f.endswith(".parquet")
-        )
-        # simulate a crash AFTER the ready rename, BEFORE the unlinks:
-        # manifest + merged file present alongside the superseded
-        # originals — PLUS a part appended after the crash, which the
-        # heal must preserve (it is not in the manifest)
-        merged = pa.concat_tables(
-            [pq.read_table(os.path.join(bdir, f)) for f in parts]
-        )
-        with open(os.path.join(bdir, "_compact.manifest"), "w") as f:
-            f.write("\n".join(parts))
-        pq.write_table(merged, os.path.join(bdir, "_compact.ready"))
-        with open(os.path.join(bdir, "_compact.tmp"), "wb") as f:
-            f.write(b"torn")
-        late = pa.table(
-            {"doc_id": pa.array([99999], pa.int64()),
-             "v": pa.array([7], pa.int64())}
-        )
-        pq.write_table(late, os.path.join(bdir, f"part-{len(parts)}.parquet"))
-        gio.compact_partitioned(out)
-        after = gio.read_partitioned(out).to_pandas()
-        assert len(after) == total + 1  # late-append row survived
-        assert 99999 in set(after["doc_id"])
-        for leftover in ("_compact.ready", "_compact.tmp", "_compact.manifest"):
-            assert not os.path.exists(os.path.join(bdir, leftover))
-
-    def test_heal_without_manifest_discards_and_remerges(self, tmp_path):
-        out, total = self._mk(tmp_path, runs=2)
-        bdir = os.path.join(
-            out, sorted(d for d in os.listdir(out) if d.startswith("bucket-"))[0]
-        )
-        # a ready file with no manifest is unusable (superseded set
-        # unknown) — the re-run must discard it and re-merge safely
-        parts = sorted(f for f in os.listdir(bdir) if f.endswith(".parquet"))
-        merged = pa.concat_tables(
-            [pq.read_table(os.path.join(bdir, f)) for f in parts]
-        )
-        pq.write_table(merged, os.path.join(bdir, "_compact.ready"))
-        gio.compact_partitioned(out)
-        after = gio.read_partitioned(out).to_pandas()
-        assert len(after) == total
-        assert not os.path.exists(os.path.join(bdir, "_compact.ready"))
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestTimeTravel:
-    def test_as_of_reproduces_each_generation(self, tmp_path):
-        import ray.data as rd
-
-        out = str(tmp_path / "tt")
-        per_run = []
-        for r in range(3):
-            rows = 32 * (r + 1)
-            t = pa.table(
-                {
-                    "doc_id": pa.array(
-                        range(r * 1000, r * 1000 + rows), pa.int64()
-                    ),
-                    "gen": pa.array([r] * rows, pa.int64()),
-                }
-            )
-            gio.write_partitioned(
-                rd.from_arrow(t), out, key="doc_id",
-                num_partitions=4, append=True,
-            )
-            per_run.append(rows)
-        for k in range(1, 4):
-            df = gio.read_partitioned(out, as_of=k).to_pandas()
-            assert len(df) == sum(per_run[:k])
-            assert set(df["gen"]) == set(range(k))
-        # no as_of → everything
-        assert len(gio.read_partitioned(out).to_pandas()) == sum(per_run)
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSinkOperationFuzz:
-    def test_random_append_compact_read_sequences(self, tmp_path):
-        """Randomized op sequences (append / compact / as-of read /
-        full read) against a driver-side reference: the sink's visible
-        row multiset must always equal the sum of landings, and as-of
-        reads must reproduce exactly the prefix generations."""
-        import numpy as np
-        import ray.data as rd
-
-        rng = np.random.RandomState(1234)
-        out = str(tmp_path / "fuzz")
-        landed: list[pa.Table] = []
-        next_id = 0
-        for step in range(12):
-            op = rng.choice(["append", "append", "compact", "read"])
-            if op == "append":
-                rows = int(rng.randint(5, 40))
-                t = pa.table(
-                    {
-                        "doc_id": pa.array(
-                            range(next_id, next_id + rows), pa.int64()
-                        ),
-                        "gen": pa.array([len(landed)] * rows, pa.int64()),
-                    }
-                )
-                next_id += rows
-                gio.write_partitioned(
-                    rd.from_arrow(t), out, key="doc_id",
-                    num_partitions=4, append=True,
-                )
-                landed.append(t)
-            elif op == "compact" and landed:
-                gio.compact_partitioned(out)
-            elif landed:
-                got = (
-                    gio.read_partitioned(out)
-                    .to_pandas()
-                    .sort_values("doc_id")
-                    .reset_index(drop=True)
-                )
-                want = (
-                    pa.concat_tables(landed)
-                    .to_pandas()
-                    .sort_values("doc_id")
-                    .reset_index(drop=True)
-                )
-                pd.testing.assert_frame_equal(got, want)
-        # final full-state check
-        if landed:
-            got = (
-                gio.read_partitioned(out)
-                .to_pandas()
-                .sort_values("doc_id")
-                .reset_index(drop=True)
-            )
-            want = (
-                pa.concat_tables(landed)
-                .to_pandas()
-                .sort_values("doc_id")
-                .reset_index(drop=True)
-            )
-            pd.testing.assert_frame_equal(got, want)
 
 
 class TestLanceSeam:
@@ -396,29 +153,3 @@ class TestReviewRegressions:
             assert os.stat(
                 os.path.join(out, d, "part.parquet")
             ).st_mtime_ns == m
-
-    def test_as_of_consistent_when_landing_skips_buckets(self, tmp_path):
-        """Landing generations are layout-uniform: a landing that
-        hashes no rows into some bucket must not shift later landings'
-        generation numbers there (review-found snapshot skew)."""
-        import pandas as pd
-        import ray.data as rd
-
-        from gotenberg_ray.io import read_partitioned, write_partitioned
-
-        out = str(tmp_path / "tt2")
-        # landing 0: ONE key → one occupied bucket
-        l0 = pd.DataFrame({"k": [7] * 5, "gen": [0] * 5})
-        write_partitioned(
-            rd.from_pandas(l0), out, key="k", num_partitions=4, append=True
-        )
-        # landing 1: many keys → several buckets (incl. 7's)
-        l1 = pd.DataFrame({"k": list(range(12)), "gen": [1] * 12})
-        write_partitioned(
-            rd.from_pandas(l1), out, key="k", num_partitions=4, append=True
-        )
-        snap0 = read_partitioned(out, as_of=1).to_pandas()
-        assert set(snap0["gen"]) == {0} and len(snap0) == 5
-        snap1 = read_partitioned(out, as_of=2).to_pandas()
-        assert len(snap1) == 17
-        assert len(read_partitioned(out).to_pandas()) == 17

@@ -2,15 +2,14 @@
 point, and every top-level def/class of the package is named outside
 the tests.
 
-Both scans are static (``ast`` for imports, word tokens for names), so
-they run in milliseconds and need no Ray session. An exemption is made
-by name only, with its reason written beside it.
+Both scans are static ``ast`` walks, so they run in milliseconds and
+need no Ray session. An exemption is made by name only, with its reason
+written beside it.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -30,6 +29,8 @@ TEST_ONLY_OK = {
     "with an uninterrupted run's through this digest",
     "word_ngrams": "oracle: the brute-force word-3-gram Jaccard pairs that "
     "tests/test_textops.py checks the near-duplicate operators against",
+    "synthetic_links": "oracle: the scalar link generator that "
+    "synthetic_links_batch is pinned against in tests/test_crawl.py",
 }
 
 
@@ -83,9 +84,6 @@ def test_every_package_module_is_reached_from_an_entry_point():
     assert sorted(UNREACHED_OK.keys() - unreached) == []
 
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _non_test_files() -> list[Path]:
     crawlbench = [
         p for p in (ROOT / "crawlbench").glob("*.py") if not p.name.startswith("test_")
@@ -93,19 +91,44 @@ def _non_test_files() -> list[Path]:
     return [*PKG.rglob("*.py"), ROOT / "__ray_entry__.py", ROOT / "bench.py", *crawlbench]
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_in(node: ast.AST) -> list[str]:
+    """Names a statement uses: names, attributes, import aliases and
+    identifier string constants (crawlbench patches entry points by
+    name). Comments and docstrings are not code, so they never count."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.rsplit(".", 1)[-1])
+            if n.asname:
+                out.append(n.asname)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if n.value.isidentifier():
+                out.append(n.value)
+    return out
+
+
 def names_used_only_by_tests() -> set[str]:
-    """Top-level defs/classes of the package whose name appears in no
-    non-test file except on a ``def``/``class`` line of that name."""
-    words: Counter = Counter()
+    """Top-level defs/classes of the package that no non-test file
+    uses outside the definition itself."""
+    used: Counter = Counter()
     for path in _non_test_files():
-        words.update(_WORD.findall(path.read_text()))
-    on_def_lines: Counter = Counter()
-    for path in PKG.rglob("*.py"):
-        lines = path.read_text().splitlines()
-        for node in ast.parse("\n".join(lines)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                on_def_lines[node.name] += _WORD.findall(lines[node.lineno - 1]).count(node.name)
-    return {name for name, n in on_def_lines.items() if words[name] <= n}
+        for stmt in ast.parse(path.read_text()).body:
+            own = stmt.name if isinstance(stmt, _DEFS) else None
+            used.update(n for n in _names_in(stmt) if n != own)
+    defined = {
+        node.name
+        for path in PKG.rglob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, _DEFS)
+    }
+    return {name for name in defined if not used[name]}
 
 
 def test_every_top_level_name_is_named_outside_tests():

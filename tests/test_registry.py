@@ -26,6 +26,26 @@ _double = lambda batch: batch.set_column(  # noqa: E731
 )
 
 
+def training_stages(sf_dir, out_dir, classifier_min_bp=None):
+    """The LLM training-data composition as a registry stage list: crawl
+    → extract → gate → (model gate) → dedup → pack → shards, the plan
+    ``train.training_data_pipeline`` runs."""
+    gate = (
+        [("classifier_gate", {"sf_dir": sf_dir, "min_score_bp": classifier_min_bp})]
+        if classifier_min_bp is not None
+        else []
+    )
+    return [
+        ("crawl_convert", {"sf_dir": sf_dir}),
+        "extract_text",
+        ("quality_gate", {"min_tokens": 5}),
+        *gate,
+        "dedup_parts",
+        ("pack_contexts", {"ctx": 256}),
+        ("shard_sink", {"out_dir": out_dir}),
+    ]
+
+
 def test_registration_rules():
     spec = StageSpec(name="s1", kind="batch", fn=_double)
     registry.register(spec)
@@ -38,7 +58,7 @@ def test_registration_rules():
     with pytest.raises(KeyError, match="unknown stage"):
         registry.get("nope")
     registry.register(StageSpec(name="a0", kind="batch", fn=_double))
-    assert [s.name for s in registry.descriptors()] == ["a0", "s1"]
+    assert sorted(registry._REGISTRY) == ["a0", "s1"]
 
 
 def test_compile_chains_batch_and_dataset_stages(ray_session):
@@ -86,7 +106,7 @@ def test_source_ordering_rules(ray_session):
 
 def test_builtins_register_engine_stages(ray_session):
     registry.register_builtins()
-    names = [s.name for s in registry.descriptors()]
+    names = sorted(registry._REGISTRY)
     assert {
         "convert_chain",
         "crawl_convert",
@@ -96,7 +116,7 @@ def test_builtins_register_engine_stages(ray_session):
     } <= set(names)
     # idempotent (module graph built once)
     registry.register_builtins()
-    assert len(registry.descriptors()) == len(names)
+    assert len(registry._REGISTRY) == len(names)
     # an actor stage compiles with constructor config from the spec
     from gotenberg_ray.stages.media import synth_media_table
 
@@ -112,13 +132,12 @@ def test_training_composition_from_registry_equals_direct(ray_session, tmp_path)
     import pandas as pd
 
     from gotenberg_ray.pipelines import train as TR
-    from gotenberg_ray.registry import training_stage_list
 
     sf = "/root/testdata/sf0.001"
     registry.register_builtins()
 
     reg_out = str(tmp_path / "reg_shards")
-    compiled = compile_pipeline(training_stage_list(sf, out_dir=reg_out))
+    compiled = compile_pipeline(training_stages(sf, reg_out))
     # keep_key repeats (the crawl can fetch one part via several
     # URLs whose page texts differ) — sort by ALL columns so the
     # comparison is multiset equality
@@ -192,13 +211,21 @@ def test_interleaved_composition_from_registry_equals_direct(ray_session, tmp_pa
     registry equals the direct train.training_interleaved_pipeline —
     same dual-budget manifest mass, same distinct cells."""
     from gotenberg_ray.pipelines import train as TR
-    from gotenberg_ray.registry import training_interleaved_stage_list
 
     sf = "/root/testdata/sf0.001"
     registry.register_builtins()
 
     reg_out = str(tmp_path / "reg_ishards")
-    compiled = compile_pipeline(training_interleaved_stage_list(sf, out_dir=reg_out))
+    compiled = compile_pipeline(
+        [
+            ("crawl_convert_media", {"sf_dir": sf}),
+            "extract_text_media",
+            ("quality_gate", {"min_tokens": 5}),
+            "dedup_parts_media",
+            ("pack_interleaved_contexts", {"ctx_tokens": 256, "ctx_media": 8}),
+            ("shard_sink", {"out_dir": reg_out, "key": "cell"}),
+        ]
+    )
     cols = ["keep_key", "n_tokens", "n_media", "pack_t", "pack_m", "cell"]
     manifest = (
         compiled.to_pandas()[cols].sort_values(cols).reset_index(drop=True)

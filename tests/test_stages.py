@@ -141,17 +141,7 @@ def test_alphanumeric_sort_matches_reference_families():
     names = ["10.pdf", "2.pdf", "a_10.pdf", "a_2.pdf", "b.pdf", "a.pdf"]
     got = sorted(names, key=SC.alphanumeric_key)
     assert got == ["2.pdf", "10.pdf", "a_2.pdf", "a_10.pdf", "a.pdf", "b.pdf"]
-    split = ["doc_10.pdf", "doc_2.pdf", "doc_1.pdf"]
-    assert sorted(split, key=SC.digit_suffix_key) == ["doc_1.pdf", "doc_2.pdf", "doc_10.pdf"]
 
-
-def test_cap_attr_and_redact_url():
-    assert SC.cap_attr("x" * 600, 512).endswith("…")
-    assert len(SC.cap_attr("x" * 600, 512)) == 512
-    assert SC.cap_attr("short") == "short"
-    red = SC.redact_url("https://user:pw@h.example.com:8443/p?token=secret&x=1#f")
-    assert "secret" not in red and "user" not in red and "pw" not in red
-    assert red == "https://xxx@h.example.com:8443/p?token=xxx&x=xxx"
 
 def test_sanitize_filename_zip_slip():
     # separators and control chars stripped, NFC applied (context.go:692-703)
@@ -238,7 +228,8 @@ def test_fetch_metrics_match_per_row_reference():
     docs = make_documents(400, seed=7)
     state = SimulatedFetcher.build_state(docs)
     fetcher = SimulatedFetcher(state, link_universe=500, max_links=3)
-    stats, row_of = state[1], state[3]
+    stats = state[1]
+    row_of = {d: i for i, d in enumerate(docs.column("doc_id").to_pylist())}
     origin_pool = sorted(set().union(*stats["origins"]) or {"assets.example.com"})
     pool = origin_pool + ["h1.example.com", "h2.example.com"]
     rng = np.random.default_rng(3)

@@ -371,58 +371,6 @@ def test_ngram_containment_sql_twin_matches_brute_force(corpus_dir):
 
 
 class TestSubstringCut:
-    @staticmethod
-    def _reference_clean(docs: pd.DataFrame, window: int = 20) -> pd.DataFrame:
-        """Independent driver reimplementation: duplicated windows by
-        RAW substring comparison (no hashes), coverage by plain loops."""
-        from collections import Counter
-
-        per_doc: dict[int, set[str]] = {}
-        for _, r in docs.iterrows():
-            t = r["text"] or ""
-            per_doc[r["doc_id"]] = {
-                t[i : i + window] for i in range(len(t) - window + 1)
-            }
-        counts = Counter(s for ss in per_doc.values() for s in ss)
-        dup = {s for s, c in counts.items() if c > 1}
-        out = []
-        for _, r in docs.iterrows():
-            t = r["text"] or ""
-            covered = [False] * len(t)
-            for i in range(len(t) - window + 1):
-                if t[i : i + window] in dup:
-                    for j in range(i, i + window):
-                        covered[j] = True
-            out.append(
-                (r["doc_id"], "".join(ch for ch, c in zip(t, covered) if not c))
-            )
-        return pd.DataFrame(out, columns=["doc_id", "text"])
-
-    def test_clean_texts_match_reference(self, ray_session, sf_dir):
-        from gotenberg_ray.pipelines.textops import substring_cut_texts
-
-        got = (
-            substring_cut_texts(sf_dir)
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        docs = pd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-        want = self._reference_clean(docs).sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
-
-    def test_stats_consistent_with_texts(self, ray_session, sf_dir):
-        from gotenberg_ray.pipelines.textops import (
-            dedup_substring_cut,
-            substring_cut_texts,
-        )
-
-        stats = dedup_substring_cut(sf_dir).set_index("doc_id").sort_index()
-        texts = substring_cut_texts(sf_dir).to_pandas().set_index("doc_id").sort_index()
-        assert (stats["n_kept"] == texts["text"].str.len().astype("int64")).all()
-        assert (stats["cut_frac_e4"] >= 0).all()
-        assert (stats["n_kept"] <= stats["n_chars"]).all()
-
     def test_planted_cut(self, ray_session, tmp_path):
         import pyarrow.parquet as pq
 
@@ -458,7 +406,7 @@ def test_batch_window_kernel_matches_per_doc_loop():
     loop), including boundary-straddle masking, unicode widths, short
     docs, empties, and SLICED input arrays (nonzero array offset)."""
     rng = np.random.default_rng(7)
-    window, P = 20, 32
+    window = 20
     texts = [
         "",  # empty
         "short",  # < window
@@ -486,7 +434,7 @@ def test_batch_window_kernel_matches_per_doc_loop():
                 rows.append((int(h), int(did[i])))
         return pd.DataFrame(rows, columns=["h", "doc_id"])
 
-    fn = X._window_pair_fn(window, P)
+    fn = X._window_pair_fn(window)
     for tbl in (batch, batch.slice(2), batch.slice(3, 4)):
         got = fn(tbl).to_pandas()[["h", "doc_id"]]
         want = reference(tbl)
@@ -494,11 +442,6 @@ def test_batch_window_kernel_matches_per_doc_loop():
             got.sort_values(["doc_id", "h"]).reset_index(drop=True).astype({"h": "uint64"}),
             want.sort_values(["doc_id", "h"]).reset_index(drop=True).astype({"h": "uint64"}),
         )
-    # pid column is h % P
-    out = fn(batch)
-    h = out["h"].to_numpy(zero_copy_only=False)
-    pid = out["pid"].to_numpy(zero_copy_only=False)
-    assert (pid == (h % np.uint64(P)).astype(np.int32)).all()
 
 
 def test_batch_window_kernel_sampling_is_hash_gate():
@@ -510,8 +453,8 @@ def test_batch_window_kernel_sampling_is_hash_gate():
         {"doc_id": pa.array(range(10), pa.int64()), "text": pa.array(texts)}
     )
     h_max = np.uint64(((1 << 64) * 625) // 10_000)
-    exact = X._window_pair_fn(20, 32)(batch).to_pandas()
-    samp = X._window_pair_fn(20, 32, h_max)(batch).to_pandas()
+    exact = X._window_pair_fn(20)(batch).to_pandas()
+    samp = X._window_pair_fn(20, h_max)(batch).to_pandas()
     want = exact[exact["h"] < h_max].reset_index(drop=True)
     pd.testing.assert_frame_equal(samp.reset_index(drop=True), want)
 
@@ -561,43 +504,3 @@ class TestSubstringSampled:
         assert (m.loc[no_dup, "n_kept"] == m.loc[no_dup, "n_chars"]).all()
         X.clear_pair_cache()
         assert len(X._DUPWIN_CACHE) == 0
-
-
-def test_substring_cut_texts_unicode_roundtrip(ray_session, tmp_path):
-    """The vectorized utf-32→utf-8 string rebuild must round-trip
-    multibyte codepoints exactly, and cut shared spans regardless of
-    character width."""
-    import pyarrow.parquet as pq
-
-    shared = "καλημέρα κόσμε 世界 𝄞𝄞 — duplicated tail here!!"
-    assert len(shared) >= 20
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
-            "text": pa.array(
-                [
-                    "préfixe Ω un " + shared,
-                    "präfix 𝒳 zwei " + shared,
-                    "ünique ütterly distinct zeile ohne doppel",
-                ]
-            ),
-        }
-    )
-    d = tmp_path / "uni"
-    d.mkdir()
-    pq.write_table(docs, d / "documents.parquet")
-    X.clear_pair_cache()
-    out = (
-        X.substring_cut_texts(str(d))
-        .to_pandas()
-        .set_index("doc_id")["text"]
-    )
-    stats = X.dedup_substring_cut(str(d)).set_index("doc_id")
-    # text lengths agree with the integer summary (chars, not bytes)
-    for i in (1, 2, 3):
-        assert len(out.loc[i]) == stats.loc[i, "n_kept"]
-    # untouched doc round-trips byte-identically
-    assert out.loc[3] == "ünique ütterly distinct zeile ohne doppel"
-    # the shared multibyte tail was cut from both carriers
-    assert shared not in out.loc[1] and shared not in out.loc[2]
-    assert out.loc[1].startswith("préfixe Ω")
